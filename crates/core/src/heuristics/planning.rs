@@ -20,8 +20,49 @@
 //!   shipment first yields a reversed schedule; flipping it produces the
 //!   dispatch order for the original problem. On communication-homogeneous
 //!   platforms this degenerates exactly to SLJF's plan.
+//!
+//! # Complexity
+//!
+//! SLJF's backward greedy keeps one heap entry per slave keyed by
+//! `(count_j + 1)·p_j` — only the chosen slave's key changes per step — so
+//! a plan of `n` tasks costs O(m + n log m), plus O(n log n) for the
+//! deadline sort. SLJFWC's greedy scans all slaves per step, O(n·m): its
+//! `1e-15` tie rule is not a total order, so no heap reproduces it.
+
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 use mss_sim::{Platform, SlaveId};
+
+/// One slave's entry in the backward greedy's heap: its key
+/// `(count_j + 1)·p_j`. Ordered so that the heap's *maximum* is the
+/// smallest `(total_cmp key, index)` pair — the slave an argmin scan with
+/// lowest-index ties would pick.
+#[derive(Clone, Copy, Debug)]
+struct Candidate {
+    key: f64,
+    j: usize,
+}
+
+impl Ord for Candidate {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.key.total_cmp(&self.key).then(other.j.cmp(&self.j))
+    }
+}
+
+impl PartialOrd for Candidate {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Candidate {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Candidate {}
 
 /// Reusable scratch state for the backward plan constructions.
 ///
@@ -45,6 +86,8 @@ pub struct PlanScratch {
     slots: Vec<(f64, usize)>,
     /// SLJFWC reversed-time compute-ready instants.
     ready: Vec<f64>,
+    /// The backward greedy's per-slave candidates.
+    heap: BinaryHeap<Candidate>,
 }
 
 impl PlanScratch {
@@ -64,22 +107,25 @@ impl PlanScratch {
     }
 
     /// The backward greedy over `self.p`: assigns tasks, last first, to the
-    /// slave minimizing `(count_j + 1)·p_j`, leaving the result in
-    /// `self.counts`.
+    /// slave minimizing `(count_j + 1)·p_j` (ties to the lowest index),
+    /// leaving the result in `self.counts`.
     fn backward_counts_inner(&mut self, n: usize) {
-        let m = self.p.len();
-        self.counts.clear();
-        self.counts.resize(m, 0);
-        let (counts, p) = (&mut self.counts, &self.p);
+        let PlanScratch {
+            p, counts, heap, ..
+        } = self;
+        counts.clear();
+        counts.resize(p.len(), 0);
+        if n == 0 {
+            return;
+        }
+        heap.clear();
+        // `(0 + 1)·p_j` is `p_j` exactly.
+        heap.extend(p.iter().enumerate().map(|(j, &key)| Candidate { key, j }));
         for _ in 0..n {
-            let j = (0..m)
-                .min_by(|&a, &b| {
-                    let ka = (counts[a] + 1) as f64 * p[a];
-                    let kb = (counts[b] + 1) as f64 * p[b];
-                    ka.total_cmp(&kb).then(a.cmp(&b))
-                })
-                .expect("at least one slave");
+            let mut top = heap.peek_mut().expect("at least one slave");
+            let j = top.j;
             counts[j] += 1;
+            top.key = (counts[j] + 1) as f64 * p[j];
         }
     }
 
@@ -94,8 +140,10 @@ impl PlanScratch {
                 self.slots.push((i as f64 * p, j));
             }
         }
+        // `(i·p_j, j)` pairs are unique, so the in-place unstable sort
+        // orders them exactly as a stable one would, without a buffer.
         self.slots
-            .sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+            .sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
         out.clear();
         out.extend(self.slots.iter().map(|&(_, j)| SlaveId(j)));
     }

@@ -76,7 +76,7 @@ impl Planned {
             planned: false,
             next: 0,
             scratch: PlanScratch::default(),
-            fallback: ListScheduling,
+            fallback: ListScheduling::new(),
         }
     }
 

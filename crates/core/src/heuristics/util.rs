@@ -1,22 +1,6 @@
 //! Small shared helpers for heuristic implementations.
 
-use mss_sim::{chunked_argmin, SimView, SlaveId};
-
-/// Returns the slave minimizing `key(j)`, ties broken by the lowest index.
-/// Keys must not be NaN (debug-asserted inside the kernel; a
-/// contract-violating NaN key can only be skipped in release builds,
-/// never propagated as the winner — strict `<` comparisons).
-///
-/// This is the closure-key entry point of the decision-kernel layer: it
-/// answers through [`mss_sim::chunked_argmin`], the exact 8-lane scan
-/// whose winner is bit-identical to the historical sequential pass
-/// ([`mss_sim::scan_argmin`]). Heuristics whose keys are journal-stable
-/// (SRPT, RR eligibility) hold an [`mss_sim::IncrementalArgmin`] instead
-/// and go sublinear in the slave count.
-pub(crate) fn argmin_slave<F: FnMut(SlaveId) -> f64>(view: &SimView<'_>, mut key: F) -> SlaveId {
-    debug_assert!(view.num_slaves() > 0, "platform has at least one slave");
-    SlaveId(chunked_argmin(view.num_slaves(), |j| key(SlaveId(j))))
-}
+use mss_sim::SimView;
 
 /// The oldest pending task (FIFO by release then id), if any.
 pub(crate) fn oldest_pending(view: &SimView<'_>) -> Option<mss_sim::TaskId> {
@@ -27,9 +11,14 @@ pub(crate) fn oldest_pending(view: &SimView<'_>) -> Option<mss_sim::TaskId> {
 mod tests {
     use super::*;
     use mss_sim::{
-        bag_of_tasks, simulate, Decision, OnlineScheduler, Platform, SchedulerEvent, SimConfig,
-        SimView,
+        bag_of_tasks, chunked_argmin, simulate, Decision, OnlineScheduler, Platform,
+        SchedulerEvent, SimConfig, SimView, SlaveId,
     };
+
+    /// The slave minimizing `key`, ties to the lowest index.
+    fn argmin_slave<F: FnMut(SlaveId) -> f64>(view: &SimView<'_>, mut key: F) -> SlaveId {
+        SlaveId(chunked_argmin(view.num_slaves(), |j| key(SlaveId(j))))
+    }
 
     /// Exercises the helpers from inside a scheduler callback.
     struct HelperProbe;

@@ -119,7 +119,7 @@ impl Algorithm {
     pub fn build(self) -> Box<dyn OnlineScheduler> {
         match self {
             Algorithm::Srpt => Box::new(Srpt::new()),
-            Algorithm::ListScheduling => Box::new(ListScheduling),
+            Algorithm::ListScheduling => Box::new(ListScheduling::new()),
             Algorithm::RoundRobin => Box::new(RoundRobin::rr()),
             Algorithm::RoundRobinComm => Box::new(RoundRobin::rrc()),
             Algorithm::RoundRobinProc => Box::new(RoundRobin::rrp()),

@@ -48,6 +48,7 @@ use mss_core::{
 use mss_sweep::{run_cells, spec_from_toml, SweepConfig};
 use mss_workload::{ArrivalProcess, GeneratedSource, TaskSource};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// Schema identifier written into the JSON (bump on layout changes).
@@ -490,11 +491,15 @@ fn sweep_bench(spec: &mss_sweep::SweepSpec, iters: usize, threads: usize) -> (Sw
 /// `parallel_efficiency` is filled in by the caller once the 1-thread
 /// point is known.
 fn scaling_bench(spec: &mss_sweep::SweepSpec, iters: usize, threads: usize) -> ScalingPoint {
+    // Concurrent benches in one process (the test harness runs two) must
+    // not share store directories, or one serves the other's cells.
+    static CALL: AtomicUsize = AtomicUsize::new(0);
     let cells = spec.expand().expect("bench grid expands");
     let n = cells.len();
     let base = std::env::temp_dir().join(format!(
-        "mss-bench-scaling-{}-t{}",
+        "mss-bench-scaling-{}-{}-t{}",
         std::process::id(),
+        CALL.fetch_add(1, Ordering::Relaxed),
         threads
     ));
     let mut iteration = 0usize;

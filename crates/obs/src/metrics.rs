@@ -27,6 +27,9 @@ pub struct WorkerMetrics {
     pub batches: u64,
     /// Instances this worker materialized (once per batch).
     pub materializations: u64,
+    /// Task arrivals those materializations drew (streamed batches draw
+    /// theirs while simulating and add none).
+    pub materialized_tasks: u64,
     /// Cells that ended in an abort (budget/stall/…) rather than metrics.
     pub aborted: u64,
     /// Seconds spent materializing instances.
@@ -122,6 +125,8 @@ pub struct SweepMetrics {
     pub batches: u64,
     /// Instance materializations across all workers.
     pub materializations: u64,
+    /// Task arrivals drawn by those materializations.
+    pub materialized_tasks: u64,
     /// Seconds spent materializing, summed across workers.
     pub materialize_secs: f64,
     /// Seconds spent simulating, summed across workers.
@@ -150,6 +155,7 @@ impl SweepMetrics {
         self.aborted += w.aborted;
         self.batches += w.batches;
         self.materializations += w.materializations;
+        self.materialized_tasks += w.materialized_tasks;
         self.materialize_secs += w.materialize_secs;
         self.simulate_secs += w.simulate_secs;
         self.store_secs += w.store_secs;

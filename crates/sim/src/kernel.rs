@@ -23,7 +23,11 @@
 //!   on a run/platform change or journal overflow) and answers from the
 //!   root. Below [`TREE_THRESHOLD`] slaves, or on views without a journal
 //!   (owned [`ViewState`](crate::ViewState)s), it falls back to the
-//!   chunked scan.
+//!   chunked scan;
+//! * [`CompletionWalk`] — List Scheduling's completion-time argmin: a
+//!   walk over the slaves in static `c_j + p_j` order that stops once a
+//!   rounding-safe lower bound on every remaining key exceeds the best
+//!   key found.
 //!
 //! # The bit-identity argument
 //!
@@ -37,16 +41,29 @@
 //! (ARCHITECTURE contract #15): traces, digests and artifacts are
 //! byte-identical to the scan-based heuristics they replace.
 //!
-//! # Keys a tree can index
+//! # Three key classes
 //!
-//! The tree caches keys, so a key must be a pure function of state whose
-//! changes are journaled — per-slave believed rates, queue lengths,
-//! availability (SRPT, RR eligibility). Keys that depend on `now` or the
-//! shared port (List Scheduling's completion estimate) change for *all*
-//! slaves between decisions and must use the chunked scan instead.
+//! * *Journal-stable keys* live in the tree. The tree caches keys, so a
+//!   key must be a pure function of state whose changes are journaled —
+//!   per-slave believed rates, queue lengths, availability (SRPT, RR
+//!   eligibility).
+//! * *Static order plus a monotone lower bound* is served by the pruned
+//!   walk. List Scheduling's clairvoyant completion estimate
+//!   `fl(max(fl(L + c_j), R_j) + p_j)` changes for *all* slaves with the
+//!   port's free time `L`, so no tree can cache it. But f64 addition is
+//!   monotone, so the key is at least its link term `fl(fl(L + c_j) +
+//!   p_j)`, which is in turn bounded below through the static
+//!   `c_j + p_j` alone. Nominal rates are fixed for a whole run (drift is
+//!   invisible to schedulers), so the order is sorted once per run and
+//!   each decision evaluates exact keys only until the bound of the next
+//!   slave in order strictly exceeds the best key. The busy slaves'
+//!   `R_j` terms never need a bound.
+//! * *Anything else* — keys that move for every slave and admit no
+//!   static bound — uses the chunked scan.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::info::InfoTier;
 use crate::platform::SlaveId;
 use crate::view::SimView;
 use mss_obs::kernel_stats::{
@@ -399,6 +416,89 @@ impl IncrementalArgmin {
     }
 }
 
+/// `1 - 2^-48`: scales `fl(L + s)` to a strict lower bound on every
+/// `fl(fl(L + c) + p)` with `fl(c + p) >= s`, for non-negative finite
+/// operands. The key's two roundings and `fl(c + p)`'s one lose at most
+/// `3u` relative (`u = 2^-53`) and the bound's own two at most `2u` more;
+/// `1 - 32u` leaves ample margin, so pruning never drops a key that could
+/// win.
+const WALK_SLACK: f64 = 1.0 - 1.0 / (1u64 << 48) as f64;
+
+/// List Scheduling's completion-time argmin, sublinear in `m` and
+/// bit-identical to [`scan_argmin`] over
+/// [`SimView::completion_estimate`](crate::SimView::completion_estimate).
+///
+/// At the start of each run (a new [`TouchJournal::run`] nonce) the
+/// slaves are sorted once by their nominal `(c_j + p_j, j)`. Each decision
+/// walks that order, evaluating the exact key of every visited slave and
+/// keeping the lexicographic `(key, index)` minimum, and stops as soon as
+/// the next slave's lower bound `fl(fl(L + fl(c_j + p_j))·(1 − 2⁻⁴⁸))` is
+/// **strictly** greater than the best key: every slave from there on has
+/// a strictly larger key, so it can neither win nor tie. `L` is the
+/// port's free time.
+///
+/// The walk engages at [`InfoTier::Clairvoyant`](crate::InfoTier) on
+/// journaled views with at least [`TREE_THRESHOLD`] slaves. Elsewhere —
+/// learned rates move the order, small platforms, owned views — it
+/// answers by [`chunked_argmin`].
+///
+/// The `key` closure must return, for every slave, a value no smaller
+/// than `fl(fl(L + c_j) + p_j)` over nominal rates — the clairvoyant
+/// completion estimate satisfies this by monotone rounding.
+#[derive(Debug, Default, Clone)]
+pub struct CompletionWalk {
+    /// Slaves in `(fl(c_j + p_j), j)` order for the synced run.
+    order: Vec<(f64, u32)>,
+    synced_run: u64,
+}
+
+impl CompletionWalk {
+    /// The slave minimizing `key`, resolving ties toward the lowest
+    /// index — exactly the [`scan_argmin`] winner.
+    pub fn argmin<F: FnMut(usize) -> f64>(&mut self, view: &SimView<'_>, mut key: F) -> SlaveId {
+        let m = view.num_slaves();
+        let link = view.link_free_at().as_f64();
+        let run = match view.touch_journal() {
+            Some(j)
+                if m >= TREE_THRESHOLD
+                    && view.info_tier() == InfoTier::Clairvoyant
+                    && link >= 0.0 =>
+            {
+                j.run()
+            }
+            _ => return SlaveId(chunked_argmin(m, key)),
+        };
+        if run != self.synced_run || self.order.len() != m {
+            let platform = view.platform();
+            self.order.clear();
+            self.order.extend(
+                platform
+                    .slave_ids()
+                    .map(|j| (platform.c(j) + platform.p(j), j.0 as u32)),
+            );
+            self.order
+                .sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            self.synced_run = run;
+        }
+        let (mut best, mut arg) = (f64::INFINITY, usize::MAX);
+        for &(s, j) in &self.order {
+            if (link + s) * WALK_SLACK > best {
+                break;
+            }
+            let j = j as usize;
+            let k = key(j);
+            debug_assert!(!k.is_nan(), "argmin key for slave {j} is NaN");
+            if k < best || (k == best && j < arg) {
+                best = k;
+                arg = j;
+            }
+        }
+        // Only an all-infinite key set leaves the walk without a finite
+        // winner; it then visited every slave, and the scan answers 0.
+        SlaveId(if best == f64::INFINITY { 0 } else { arg })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -464,6 +564,123 @@ mod tests {
         assert_eq!(tree.winner(), 0);
         assert_eq!(chunked_argmin(m, |_| f64::INFINITY), 0);
         assert_eq!(scan_argmin(m, |_| f64::INFINITY), 0);
+    }
+
+    #[test]
+    fn walk_bound_stays_below_every_link_term() {
+        // Operands spread over 40 binades, sums landing on both sides of
+        // every rounding boundary: the scaled bound through `fl(c + p)`
+        // must stay strictly below `fl(fl(L + c) + p)`.
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut draw = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let mant = 1.0 + (x >> 11) as f64 / (1u64 << 53) as f64;
+            mant * 2f64.powi((x % 40) as i32 - 20)
+        };
+        for _ in 0..100_000 {
+            let (link, c, p) = (draw(), draw(), draw());
+            let bound = (link + (c + p)) * WALK_SLACK;
+            assert!(bound < (link + c) + p, "L={link:e} c={c:e} p={p:e}");
+        }
+    }
+
+    /// A journaled clairvoyant view over `state`, as the engine hands out.
+    fn journaled<'a>(state: &'a crate::ViewState, journal: &'a TouchJournal) -> SimView<'a> {
+        let mut view = state.view();
+        view.journal = Some(journal);
+        view
+    }
+
+    /// The walk's and the scan's answers on a journaled view of
+    /// `(c, p)` slaves padded to the threshold with slow ones; `busy`
+    /// gives slave 1 a ready time.
+    fn walk_and_scan(slaves: &[(f64, f64)], now: f64, busy: Option<f64>) -> (SlaveId, usize) {
+        let (mut c, mut p): (Vec<f64>, Vec<f64>) = slaves.iter().copied().unzip();
+        c.resize(TREE_THRESHOLD, 4.0);
+        p.resize(TREE_THRESHOLD, 4.0);
+        let mut state = crate::ViewState::new(crate::Platform::from_vectors(&c, &p), 0, None);
+        state.now = crate::Time::new(now);
+        if let Some(ready) = busy {
+            state.slaves.outstanding[1] = 1;
+            state.slaves.ready_estimate[1] = ready;
+        }
+        let mut journal = TouchJournal::default();
+        journal.reset(c.len());
+        let view = journaled(&state, &journal);
+        let key = |j: usize| view.completion_estimate(SlaveId(j)).as_f64();
+        assert_eq!(key(0), key(1), "the case must be a tie");
+        let walk = CompletionWalk::default().argmin(&view, key);
+        (walk, scan_argmin(c.len(), key))
+    }
+
+    #[test]
+    fn walk_breaks_cross_order_ties_to_the_lowest_index() {
+        // Slave 1 sorts first (c + p = 1) but is busy until 1.5, so both
+        // keys are exactly L + 2 = 2 and slave 0's bound meets the best
+        // key: the walk must still visit slave 0.
+        assert_eq!(
+            walk_and_scan(&[(1.0, 1.0), (0.5, 0.5)], 0.0, Some(1.5)),
+            (SlaveId(0), 0)
+        );
+        // Both idle, keys both 8.1 at L = 5.2, but fl(1.3 + 1.6) rounds
+        // one ulp above fl(2.8 + 0.1), so slave 1 sorts first and an
+        // unscaled bound fl(L + 2.9000000000000004) = 8.100000000000001
+        // would skip slave 0.
+        assert_eq!(
+            walk_and_scan(&[(1.3, 1.6), (2.8, 0.1)], 5.2, None),
+            (SlaveId(0), 0)
+        );
+    }
+
+    #[test]
+    fn walk_matches_scan_on_random_views() {
+        // Dyadic rates make ties exact; decimal rates make `c + p` round.
+        // One walk serves every view, each under a fresh run nonce, so a
+        // stale order from the previous platform would show.
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut draw = |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        let mut walk = CompletionWalk::default();
+        let mut journal = TouchJournal::default();
+        for trial in 0..400 {
+            let m = TREE_THRESHOLD + draw(80) as usize;
+            let dyadic = trial % 2 == 0;
+            let (c, p): (Vec<f64>, Vec<f64>) = (0..m)
+                .map(|_| {
+                    let (a, b) = ((1 + draw(4)) as f64, (1 + draw(8)) as f64);
+                    if dyadic {
+                        (0.125 * a, 0.25 * b)
+                    } else {
+                        (0.1 * a, 0.3 * b)
+                    }
+                })
+                .unzip();
+            let mut state = crate::ViewState::new(crate::Platform::from_vectors(&c, &p), 0, None);
+            state.now = crate::Time::new(0.25 * draw(40) as f64);
+            state.link_busy_until = state.now + 0.25 * draw(3) as f64;
+            for j in 0..m {
+                if draw(3) > 0 {
+                    state.slaves.outstanding[j] = 1 + draw(3) as usize;
+                    state.slaves.ready_estimate[j] = state.now.as_f64() + 0.25 * draw(12) as f64;
+                } else {
+                    state.slaves.ready_estimate[j] = state.now.as_f64();
+                }
+            }
+            journal.reset(m);
+            let view = journaled(&state, &journal);
+            let key = |j: usize| view.completion_estimate(SlaveId(j)).as_f64();
+            assert_eq!(
+                walk.argmin(&view, key),
+                SlaveId(scan_argmin(m, key)),
+                "trial {trial}"
+            );
+        }
     }
 
     #[test]

@@ -90,7 +90,8 @@ pub use gantt::render as render_gantt;
 pub use gantt::render_with_downtime;
 pub use info::{InfoTier, SlaveEstimate, SlaveEstimates};
 pub use kernel::{
-    chunked_argmin, scan_argmin, ArgminTree, IncrementalArgmin, TouchJournal, TREE_THRESHOLD,
+    chunked_argmin, scan_argmin, ArgminTree, CompletionWalk, IncrementalArgmin, TouchJournal,
+    TREE_THRESHOLD,
 };
 pub use mss_obs::{
     DigestEvent, DigestProbe, Histogram, Marker, MarkerKind, MetricsProbe, NoopProbe, Probe,

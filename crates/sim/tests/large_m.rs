@@ -4,13 +4,18 @@
 //! engine's step budget, (b) keep the bounded-memory contract's resident
 //! task-slot window independent of the instance size, and (c) serve its
 //! decisions from the tournament tree — the per-decision cost that used
-//! to be `O(m)` linear scans is what this PR makes sublinear, and this
-//! test is the floor that keeps it that way. CI runs it in release as
-//! the `large-m` smoke gate.
+//! to be `O(m)` linear scans is sublinear there, and this test is the
+//! floor that keeps it that way. CI runs it in release as the `large-m`
+//! smoke gate.
+//!
+//! List Scheduling's pruned completion-time walk gets the same floor as a
+//! deterministic work counter: its mean exact key evaluations per
+//! decision must stay a small fraction of `m`.
 
 use mss_sim::{
-    simulate_streamed_objectives_in, Decision, IncrementalArgmin, OnlineScheduler, Platform,
-    SchedulerEvent, SimConfig, SimView, SimWorkspace, SlaveId, TaskArrival, TaskSource, Timeline,
+    chunked_argmin, simulate_streamed_objectives_in, CompletionWalk, Decision, IncrementalArgmin,
+    OnlineScheduler, Platform, SchedulerEvent, SimConfig, SimView, SimWorkspace, SlaveId,
+    TaskArrival, TaskSource, Timeline,
 };
 
 /// SRPT on the incremental kernel (the shape `mss-core`'s production SRPT
@@ -51,6 +56,46 @@ impl OnlineScheduler for KernelSrpt {
     }
 }
 
+/// List Scheduling on the pruned walk (the shape `mss-core`'s production
+/// LS uses), counting the exact completion estimates it evaluates; with
+/// `walk: None` it decides by the full chunked scan instead.
+struct CountingLs {
+    walk: Option<CompletionWalk>,
+    decisions: u64,
+    evaluations: u64,
+}
+
+impl OnlineScheduler for CountingLs {
+    fn name(&self) -> String {
+        "counting-ls".into()
+    }
+
+    fn on_event(&mut self, view: &SimView<'_>, _e: SchedulerEvent) -> Decision {
+        if !view.link_idle() {
+            return Decision::Idle;
+        }
+        let Some(&task) = view.pending_tasks().first() else {
+            return Decision::Idle;
+        };
+        let mut evaluations = 0u64;
+        let key = |j: usize| {
+            evaluations += 1;
+            view.completion_estimate(SlaveId(j)).as_f64()
+        };
+        let slave = match &mut self.walk {
+            Some(walk) => walk.argmin(view, key),
+            None => SlaveId(chunked_argmin(view.num_slaves(), key)),
+        };
+        self.decisions += 1;
+        self.evaluations += evaluations;
+        Decision::Send { task, slave }
+    }
+
+    fn poll_driven(&self) -> bool {
+        true
+    }
+}
+
 /// Arrival stream computed on the fly; nothing scales with the instance.
 struct UniformSource {
     n: usize,
@@ -77,12 +122,18 @@ impl TaskSource for UniformSource {
     }
 }
 
+/// The 10k-slave platform both tests run on: cheap links on a 97-step
+/// grid, computation on an 89-step grid.
+fn wide_platform(m: usize) -> Platform {
+    let c: Vec<f64> = (0..m).map(|j| 0.001 + 1e-5 * (j % 97) as f64).collect();
+    let p: Vec<f64> = (0..m).map(|j| 2.0 + 0.03 * (j % 89) as f64).collect();
+    Platform::from_vectors(&c, &p)
+}
+
 #[test]
 fn ten_thousand_slaves_streamed_within_budget() {
     let m = 10_000;
-    let c: Vec<f64> = (0..m).map(|j| 0.001 + 1e-5 * (j % 97) as f64).collect();
-    let p: Vec<f64> = (0..m).map(|j| 2.0 + 0.03 * (j % 89) as f64).collect();
-    let platform = Platform::from_vectors(&c, &p);
+    let platform = wide_platform(m);
 
     // ~2k tasks streamed fast enough that many slaves cycle busy/idle but
     // the one-port master never backlogs unboundedly (gap > min c).
@@ -135,4 +186,55 @@ fn ten_thousand_slaves_streamed_within_budget() {
     assert!(k.queries > 0, "kernel never queried: {k:?}");
     assert_eq!(k.scans, 0, "scan fallback used at m = 10k: {k:?}");
     assert_eq!(k.rebuilds, 1, "expected exactly one rebuild: {k:?}");
+}
+
+#[test]
+fn ten_thousand_slave_ls_walk_visits_a_small_fraction() {
+    let m = 10_000;
+    let platform = wide_platform(m);
+    let n = 2_000;
+    let cfg = SimConfig {
+        horizon_hint: Some(n),
+        max_steps: 40 * n,
+        ..SimConfig::default()
+    };
+    let mut ws = SimWorkspace::new();
+    let mut run = |walk: Option<CompletionWalk>| {
+        let mut source = UniformSource {
+            n,
+            gap: 0.01,
+            next: 0,
+        };
+        let mut sched = CountingLs {
+            walk,
+            decisions: 0,
+            evaluations: 0,
+        };
+        let stats = simulate_streamed_objectives_in(
+            &mut ws,
+            &platform,
+            &mut source,
+            &cfg,
+            &Timeline::EMPTY,
+            &mut sched,
+        )
+        .expect("10k-slave LS run completes within the step budget");
+        assert_eq!(stats.tasks, n);
+        (stats.objectives, sched.decisions, sched.evaluations)
+    };
+    let (walked, decisions, evaluations) = run(Some(CompletionWalk::default()));
+    let (scanned, scan_decisions, _) = run(None);
+
+    // Same decisions as the full scan, objective bits included.
+    assert_eq!(decisions, scan_decisions);
+    assert_eq!(walked.makespan.to_bits(), scanned.makespan.to_bits());
+    assert_eq!(walked.sum_flow.to_bits(), scanned.sum_flow.to_bits());
+
+    // Work counter, not wall time: the walk evaluates the exact key for
+    // under 5 % of the slaves per decision on average.
+    let mean = evaluations as f64 / decisions as f64;
+    assert!(
+        mean < 0.05 * m as f64,
+        "walk evaluated {mean:.1} keys per decision at m = {m}"
+    );
 }

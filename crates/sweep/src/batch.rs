@@ -257,6 +257,7 @@ pub fn run_batch(
     let sim_t0 = Instant::now();
     metrics.materialize_secs += sim_t0.duration_since(batch_t0).as_secs_f64();
     metrics.materializations += 1;
+    metrics.materialized_tasks += mat.nominal.len() as u64;
     metrics.batches += 1;
     let batch_cells = batch.len() as u64;
     for k in batch {
