@@ -64,34 +64,33 @@ pub enum RrDispatch {
 
 /// A Round-Robin scheduler (RR / RRC / RRP by choice of [`RrOrder`]).
 ///
-/// Tier-portable: the ring keys are read through
+/// Tier-portable: the order keys are read through
 /// [`SimView::believed_c`] / [`SimView::believed_p`], so below
-/// `Clairvoyant` the prescribed order is over *learned* rates — the ring
-/// starts in index order (all slaves look identical under the prior) and
-/// re-sorts itself whenever an estimate absorbs a new observation
-/// (tracked via [`SimView::estimate_version`]; at `Clairvoyant` the
-/// version never moves and the ring is computed exactly once, as before).
+/// `Clairvoyant` the prescribed order is over *learned* rates — all
+/// slaves tie under the prior (index order) and the order sharpens as
+/// observations arrive.
+///
+/// Priority dispatch needs no materialized order: "first eligible slave
+/// in prescribed order" is the lexicographic `(key_j, j)` minimum over
+/// eligible slaves, which the [`IncrementalArgmin`] tree indexes
+/// directly. Both inputs are journal-stable: a learned rate only moves
+/// when the engine absorbs an observation of that slave, and the same
+/// event journals it.
 #[derive(Clone, Debug)]
 pub struct RoundRobin {
     order_by: RrOrder,
     dispatch: RrDispatch,
     /// A slave is eligible while `outstanding <= buffer`.
     buffer: usize,
-    /// Slave indices in prescribed order; computed on first use and
-    /// re-derived when the estimates it was sorted by have changed.
+    /// Cyclic mode only: slave indices sorted by `(key, index)`, built on
+    /// first use and re-sorted when [`SimView::estimate_version`] moves.
     ring: Vec<SlaveId>,
     /// `estimate_version` the ring was sorted at.
     ring_version: u64,
     /// Next ring position (cyclic mode only).
     cursor: usize,
-    /// Inverse of `ring`: `ring_pos[j]` is slave `j`'s position in the
-    /// prescribed order, as an `f64` kernel key. Refilled on every ring
-    /// rebuild (which also invalidates the kernel — the keys moved).
-    ring_pos: Vec<f64>,
-    /// Decision kernel answering "first eligible slave in prescribed
-    /// order" as an argmin over `ring_pos` gated by eligibility — a pure
-    /// function of journaled per-slave state (`outstanding`), so the
-    /// tournament tree can index it (Priority dispatch only).
+    /// Priority mode's decision kernel: argmin of the believed order key
+    /// over eligible slaves (ineligible → `+∞`).
     kernel: IncrementalArgmin,
 }
 
@@ -120,14 +119,13 @@ impl RoundRobin {
             ring: Vec::new(),
             ring_version: 0,
             cursor: 0,
-            ring_pos: Vec::new(),
             kernel: IncrementalArgmin::new(),
         }
     }
 
-    /// Same scheduler on the linear-scan reference kernel — the
-    /// historical decision path, kept executable for equivalence tests
-    /// and the `kernel-vs-scan` benchmarks.
+    /// Same scheduler on the linear-scan reference kernel, kept
+    /// executable for equivalence tests and the `kernel-vs-scan`
+    /// benchmarks.
     pub fn with_scan_kernel(mut self) -> Self {
         self.kernel = IncrementalArgmin::scan_reference();
         self
@@ -151,15 +149,6 @@ impl RoundRobin {
                 let kb = order.key(view.believed_c(b), view.believed_p(b));
                 ka.partial_cmp(&kb).unwrap().then(a.0.cmp(&b.0))
             });
-            // Version-gated rebuild: the prescribed order moved, so the
-            // ring-position keys the kernel indexes are stale — refill the
-            // inverse permutation and drop the tree.
-            self.ring_pos.clear();
-            self.ring_pos.resize(self.ring.len(), f64::INFINITY);
-            for (pos, &slave) in self.ring.iter().enumerate() {
-                self.ring_pos[slave.0] = pos as f64;
-            }
-            self.kernel.invalidate();
         }
     }
 
@@ -170,17 +159,13 @@ impl RoundRobin {
     fn pick(&mut self, view: &SimView<'_>) -> Option<SlaveId> {
         match self.dispatch {
             RrDispatch::Priority => {
-                // First eligible slave in prescribed order == argmin of
-                // ring position over eligible slaves (ineligible → +∞;
-                // every position is distinct so index tie-breaks never
-                // fire). All-∞ makes the kernel report slave 0, which the
-                // eligibility re-check below maps to `None` — exactly the
-                // historical `find`.
-                let ring_pos = &self.ring_pos;
-                let buffer = self.buffer;
+                // All-∞ (every slave saturated) makes the kernel report
+                // slave 0, which the eligibility re-check maps to `None`.
+                let (order, buffer) = (self.order_by, self.buffer);
                 let winner = self.kernel.argmin(view, |j| {
-                    if view.slave(SlaveId(j)).outstanding <= buffer {
-                        ring_pos[j]
+                    let j = SlaveId(j);
+                    if view.slave(j).outstanding <= buffer {
+                        order.key(view.believed_c(j), view.believed_p(j))
                     } else {
                         f64::INFINITY
                     }
@@ -188,6 +173,7 @@ impl RoundRobin {
                 self.eligible(view, winner).then_some(winner)
             }
             RrDispatch::Cyclic => {
+                self.ensure_ring(view);
                 let m = self.ring.len();
                 for step in 0..m {
                     let pos = (self.cursor + step) % m;
@@ -217,17 +203,13 @@ impl OnlineScheduler for RoundRobin {
         }
     }
 
-    fn init(&mut self, view: &SimView<'_>) {
+    fn init(&mut self, _view: &SimView<'_>) {
         self.ring.clear();
-        self.ring_version = 0;
         self.cursor = 0;
-        self.ring_pos.clear();
         self.kernel.invalidate();
-        self.ensure_ring(view);
     }
 
     fn on_event(&mut self, view: &SimView<'_>, _event: SchedulerEvent) -> Decision {
-        self.ensure_ring(view);
         if !view.link_idle() {
             return Decision::Idle;
         }
@@ -241,15 +223,15 @@ impl OnlineScheduler for RoundRobin {
     }
 
     fn poll_driven(&self) -> bool {
-        // The ring is a pure function of the current view (it re-derives
-        // from the believed keys whenever the estimate version moved), and
-        // the cyclic cursor only advances when a send is issued — so
+        // Acts only on (idle port, pending task): the kernel sync, the
+        // cyclic ring re-sort and the cursor all sit behind those guards,
+        // and the ring is a pure function of the current view — so
         // busy-port/empty-pending callbacks are observably pure.
         true
     }
 
     fn min_tier(&self) -> InfoTier {
-        InfoTier::NonClairvoyant // ring keys re-derive from learned rates
+        InfoTier::NonClairvoyant // order keys are believed rates at any tier
     }
 }
 

@@ -13,15 +13,23 @@
 //!
 //! SLJF's heap-backed backward greedy is checked against a naive
 //! per-step scan of all slaves, including equal-`p` ties.
+//!
+//! The round-robin family is also pinned to its historical semantics: a
+//! test-local scheduler that re-sorts every slave by `(key, index)` on
+//! each decision and sends to the first eligible one. Its pairs use the
+//! same wide tie-forcing platforms, so the tree engages at the default
+//! threshold, and a counter check shows the learned keys cost one tree
+//! rebuild per run.
 
 use mss_core::heuristics::planning::{backward_counts, sljf_dispatch, PlanScratch};
 use mss_core::{
     simulate_with_events, ListScheduling, Platform, PlatformEvent, PlatformEventKind, Redispatch,
-    RoundRobin, SimConfig, Srpt, TaskArrival, Time, Timeline, Trace,
+    RoundRobin, RrOrder, SimConfig, Srpt, TaskArrival, Time, Timeline, Trace,
 };
+use mss_obs::kernel_stats::{kernel_stats_reset, kernel_stats_snapshot};
 use mss_sim::{
-    chunked_argmin, scan_argmin, Decision, InfoTier, OnlineScheduler, SchedulerEvent, SimView,
-    SlaveId, TREE_THRESHOLD,
+    bag_of_tasks, chunked_argmin, scan_argmin, Decision, InfoTier, OnlineScheduler, SchedulerEvent,
+    SimView, SlaveId, TREE_THRESHOLD,
 };
 use proptest::prelude::*;
 
@@ -264,6 +272,70 @@ impl OnlineScheduler for ScanLs {
     }
 }
 
+/// Round-robin's historical Priority dispatch, written out naively: on
+/// every decision sort all slaves by `partial_cmp` on the believed order
+/// key, then by index, and send the oldest pending task to the first
+/// slave with at most one outstanding task.
+struct SortedRingRr(RrOrder);
+
+impl SortedRingRr {
+    fn key(&self, view: &SimView<'_>, j: SlaveId) -> f64 {
+        let (c, p) = (view.believed_c(j), view.believed_p(j));
+        match self.0 {
+            RrOrder::SumCp => c + p,
+            RrOrder::CommOnly => c,
+            RrOrder::ProcOnly => p,
+        }
+    }
+}
+
+impl OnlineScheduler for SortedRingRr {
+    fn name(&self) -> String {
+        format!("sorted-ring {:?}", self.0)
+    }
+
+    fn on_event(&mut self, view: &SimView<'_>, _event: SchedulerEvent) -> Decision {
+        let mut ring: Vec<SlaveId> = view.slave_ids().collect();
+        ring.sort_by(|&a, &b| {
+            let (ka, kb) = (self.key(view, a), self.key(view, b));
+            ka.partial_cmp(&kb).unwrap().then(a.0.cmp(&b.0))
+        });
+        if !view.link_idle() {
+            return Decision::Idle;
+        }
+        let Some(&task) = view.pending_tasks().first() else {
+            return Decision::Idle;
+        };
+        match ring.into_iter().find(|&j| view.slave(j).outstanding <= 1) {
+            Some(slave) => Decision::Send { task, slave },
+            None => Decision::Idle,
+        }
+    }
+
+    fn poll_driven(&self) -> bool {
+        false // sees every callback, so elision is checked too
+    }
+
+    fn min_tier(&self) -> InfoTier {
+        InfoTier::NonClairvoyant
+    }
+}
+
+/// Production RR/RRC/RRP — default threshold and tree forced — each
+/// paired with its sorted-ring reference.
+fn rr_reference_pairs() -> Vec<(Box<dyn OnlineScheduler>, SortedRingRr)> {
+    let mut pairs: Vec<(Box<dyn OnlineScheduler>, SortedRingRr)> = Vec::new();
+    for (make, order) in [
+        (RoundRobin::rr as fn() -> RoundRobin, RrOrder::SumCp),
+        (RoundRobin::rrc, RrOrder::CommOnly),
+        (RoundRobin::rrp, RrOrder::ProcOnly),
+    ] {
+        pairs.push((Box::new(make()), SortedRingRr(order)));
+        pairs.push((Box::new(make().with_tree_threshold(0)), SortedRingRr(order)));
+    }
+    pairs
+}
+
 /// Rates of one slave on the chosen grid:
 /// * 0 — the stream-wide benchmark's 97 × 89 grid (cheap links, slaves
 ///   that queue);
@@ -419,6 +491,46 @@ proptest! {
         }
     }
 
+    /// RR/RRC/RRP on learned (or nominal) keys in the tree pick exactly
+    /// the slave the re-sorted ring picks, at every tier.
+    #[test]
+    fn rr_matches_sorted_ring_static(
+        platforms in arb_wide_pair(),
+        tasks in arb_burst_tasks(),
+        tier in arb_tier(),
+    ) {
+        let platform = platforms.0;
+        prop_assert!(platform.num_slaves() >= TREE_THRESHOLD);
+        for (mut rr, mut reference) in rr_reference_pairs() {
+            let a = run(rr.as_mut(), &platform, &tasks, &Timeline::EMPTY, tier)
+                .expect("kernel run completes");
+            let b = run(&mut reference, &platform, &tasks, &Timeline::EMPTY, tier)
+                .expect("sorted-ring run completes");
+            prop_assert_eq!(a, b, "{} diverged from the sorted ring", rr.name());
+        }
+    }
+
+    /// Fault + drift timelines, Redispatch-wrapped: crashes, recoveries
+    /// and lost tasks reach the tree through the journal.
+    #[test]
+    fn rr_matches_sorted_ring_under_faults(
+        platforms in arb_wide_pair(),
+        plan in arb_fault_plan(),
+        tasks in arb_burst_tasks(),
+        tier in arb_tier(),
+    ) {
+        let platform = platforms.0;
+        let timeline = build_timeline(&plan, platform.num_slaves());
+        for (rr, reference) in rr_reference_pairs() {
+            let name = rr.name();
+            let a = run(&mut Redispatch::new(rr), &platform, &tasks, &timeline, tier)
+                .expect("wrapped kernel run completes");
+            let b = run(&mut Redispatch::new(reference), &platform, &tasks, &timeline, tier)
+                .expect("wrapped sorted-ring run completes");
+            prop_assert_eq!(a, b, "{} diverged from the sorted ring under faults", name);
+        }
+    }
+
     /// The heap-backed backward greedy equals the naive O(n·m) scan, and
     /// a scratch reused across platforms plans like a fresh one.
     #[test]
@@ -438,5 +550,30 @@ proptest! {
             scratch.sljf_into(n, &mut plan);
         }
         prop_assert_eq!(plan, naive_sljf_dispatch(&p, n));
+    }
+}
+
+/// Learned order keys are journal-stable, so a sub-clairvoyant RR run
+/// syncs its tree incrementally after one rebuild at the start of the
+/// run, however many estimates move.
+#[test]
+fn learned_rr_keys_rebuild_once_per_run() {
+    let m = 100;
+    let c: Vec<f64> = (0..m).map(|j| 0.01 + 0.002 * (j % 13) as f64).collect();
+    let p: Vec<f64> = (0..m).map(|j| 1.0 + 0.5 * (j % 11) as f64).collect();
+    let platform = Platform::from_vectors(&c, &p);
+    let tasks = bag_of_tasks(1000);
+    for tier in [InfoTier::NonClairvoyant, InfoTier::SpeedOblivious] {
+        for mut rr in [RoundRobin::rr(), RoundRobin::rrc(), RoundRobin::rrp()] {
+            kernel_stats_reset();
+            run(&mut rr, &platform, &tasks, &Timeline::EMPTY, tier).expect("run completes");
+            let stats = kernel_stats_snapshot();
+            assert_eq!(stats.rebuilds, 1, "{} at {tier:?}: {stats:?}", rr.name());
+            assert!(
+                stats.queries >= 1000 && stats.scans == 0,
+                "{} at {tier:?} must answer every send from the tree: {stats:?}",
+                rr.name()
+            );
+        }
     }
 }

@@ -1,18 +1,23 @@
-//! Steady-state allocation contract of the production List Scheduling and
-//! SLJF decision paths at kernel width (m at the walk's threshold).
+//! Steady-state allocation contract of the production List Scheduling,
+//! SLJF and Round-Robin decision paths at kernel width (m at the walk's
+//! and the tree's threshold).
 //!
 //! A counting global allocator measures heap allocations during a warm
 //! rerun: LS's pruned walk re-sorts its order in place at the new run,
 //! and SLJF replans through its `PlanScratch` — heap, counts, slots and
 //! the plan vector all keep their capacity — before list-scheduling the
-//! tail past its window. The only permitted allocation is the returned
-//! `Trace`'s record vector.
+//! tail past its window. RR/RRC/RRP run at `NonClairvoyant`, where every
+//! observation moves a learned order key and the tree replays it in
+//! place. The only permitted allocation is the returned `Trace`'s record
+//! vector.
 //!
 //! This file deliberately contains a single `#[test]` so no sibling test
 //! thread can allocate concurrently and pollute the counter.
 
-use mss_core::{ListScheduling, OnlineScheduler, PlanKind, Planned};
-use mss_sim::{bag_of_tasks, simulate_in, Platform, SimConfig, SimWorkspace, TREE_THRESHOLD};
+use mss_core::{ListScheduling, OnlineScheduler, PlanKind, Planned, RoundRobin};
+use mss_sim::{
+    bag_of_tasks, simulate_in, InfoTier, Platform, SimConfig, SimWorkspace, TREE_THRESHOLD,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -49,21 +54,31 @@ fn warm_ls_and_sljf_reruns_allocate_nothing() {
     let platform = Platform::from_vectors(&c, &p);
     let n = 800;
     let tasks = bag_of_tasks(n);
-    let cfg = SimConfig::with_horizon(n);
+    let clairvoyant = SimConfig::with_horizon(n);
+    let learning = SimConfig {
+        info: InfoTier::NonClairvoyant,
+        ..SimConfig::with_horizon(n)
+    };
     let mut ws = SimWorkspace::new();
 
-    let schedulers: Vec<Box<dyn OnlineScheduler>> = vec![
-        Box::new(ListScheduling::new()),
+    let schedulers: Vec<(Box<dyn OnlineScheduler>, &SimConfig)> = vec![
+        (Box::new(ListScheduling::new()), &clairvoyant),
         // Half-window plan: the replan covers 400 tasks (a slot sort past
         // any small-sort stack buffer) and the walk-backed LS fallback the
         // rest.
-        Box::new(Planned::new(PlanKind::Sljf, Some(n / 2))),
+        (
+            Box::new(Planned::new(PlanKind::Sljf, Some(n / 2))),
+            &clairvoyant,
+        ),
+        (Box::new(RoundRobin::rr()), &learning),
+        (Box::new(RoundRobin::rrc()), &learning),
+        (Box::new(RoundRobin::rrp()), &learning),
     ];
-    for mut sched in schedulers {
-        let warm = simulate_in(&mut ws, &platform, &tasks, &cfg, sched.as_mut()).unwrap();
+    for (mut sched, cfg) in schedulers {
+        let warm = simulate_in(&mut ws, &platform, &tasks, cfg, sched.as_mut()).unwrap();
         assert_eq!(warm.len(), n);
         let before = ALLOCS.load(Ordering::SeqCst);
-        let trace = simulate_in(&mut ws, &platform, &tasks, &cfg, sched.as_mut()).unwrap();
+        let trace = simulate_in(&mut ws, &platform, &tasks, cfg, sched.as_mut()).unwrap();
         let during = ALLOCS.load(Ordering::SeqCst) - before;
         assert_eq!(
             trace,

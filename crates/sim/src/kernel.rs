@@ -2,7 +2,7 @@
 //!
 //! Every paper heuristic reduces to repeated *argmin* decisions over
 //! per-slave keys (SRPT's fastest idle slave, List Scheduling's earliest
-//! estimated completion, Round Robin's first eligible ring slot). The
+//! estimated completion, Round Robin's first eligible slave in order). The
 //! historical implementation re-scans all `m` slaves on every decision;
 //! this module makes those decisions sublinear in `m` while staying
 //! **bit-identical** to the linear scan:
@@ -45,8 +45,10 @@
 //!
 //! * *Journal-stable keys* live in the tree. The tree caches keys, so a
 //!   key must be a pure function of state whose changes are journaled —
-//!   per-slave believed rates, queue lengths, availability (SRPT, RR
-//!   eligibility).
+//!   per-slave believed rates, queue lengths, availability (SRPT; RR's
+//!   believed order key gated by eligibility). Debug builds check every
+//!   tree answer against the scan, so a key that is not journal-stable
+//!   fails loudly.
 //! * *Static order plus a monotone lower bound* is served by the pruned
 //!   walk. List Scheduling's clairvoyant completion estimate
 //!   `fl(max(fl(L + c_j), R_j) + p_j)` changes for *all* slaves with the
@@ -327,9 +329,10 @@ impl ArgminTree {
 ///
 /// One kernel indexes **one key family**: the keys it caches are only
 /// re-derived for journaled slaves, so calling [`IncrementalArgmin::argmin`]
-/// with closures that disagree about un-touched slaves is a logic error.
-/// If an external input to the key family changes wholesale (e.g. Round
-/// Robin re-sorting its ring), call [`IncrementalArgmin::invalidate`].
+/// with closures that disagree about un-touched slaves is a logic error
+/// (debug builds check every tree answer against [`chunked_argmin`]). If
+/// an external input to the key family changes wholesale, call
+/// [`IncrementalArgmin::invalidate`].
 #[derive(Debug, Clone)]
 pub struct IncrementalArgmin {
     tree: ArgminTree,
@@ -412,7 +415,16 @@ impl IncrementalArgmin {
         self.synced_run = journal.run();
         self.synced_epoch = journal.epoch();
         record_kernel_query();
-        SlaveId(self.tree.winner())
+        let winner = self.tree.winner();
+        // Staleness tripwire: a key the journal cannot see change leaves
+        // the tree behind the scan. Calls the scan directly so no kernel
+        // counter moves and counts stay build-invariant.
+        debug_assert_eq!(
+            winner,
+            chunked_argmin(m, &mut key),
+            "tree winner disagrees with the scan: a key outside the journal changed"
+        );
+        SlaveId(winner)
     }
 }
 

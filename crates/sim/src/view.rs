@@ -372,8 +372,9 @@ impl<'a> SimView<'a> {
 
     /// Bumped each time a learned estimate absorbs a new observation
     /// (always `0` at [`InfoTier::Clairvoyant`]). Schedulers that cache
-    /// estimate-derived structures (e.g. the Round-Robin ring order)
-    /// compare this to decide when to rebuild.
+    /// structures derived from *all* estimates (e.g. the cyclic
+    /// Round-Robin ring) compare this to decide when to rebuild; per-slave
+    /// keys need not, since the observing event journals its slave.
     pub fn estimate_version(&self) -> u64 {
         self.estimate_version
     }
