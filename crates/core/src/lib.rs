@@ -13,6 +13,10 @@
 //! * the [`Redispatch`] fault-aware wrapper that makes any of them live on
 //!   dynamic platforms (slave failures/recoveries, see `mss-scenario`).
 //!
+//! It re-exports the engine's vocabulary, including its three run
+//! functions — [`simulate`], [`simulate_in`] and [`simulate_objectives_in`]
+//! — so downstream crates can depend on `mss-core` alone.
+//!
 //! ```
 //! use mss_core::{Algorithm, Objective};
 //! use mss_sim::{bag_of_tasks, simulate, Platform, SimConfig};
@@ -41,13 +45,10 @@ pub use registry::{Algorithm, AlgorithmMeta, META};
 // Re-export the simulation vocabulary so downstream crates can depend on
 // `mss-core` alone for the common case.
 pub use mss_sim::{
-    bag_of_tasks, released_at, simulate, simulate_in, simulate_objectives_in,
-    simulate_objectives_with_probe_in, simulate_streamed, simulate_streamed_objectives_in,
-    simulate_streamed_objectives_with_probe_in, simulate_streamed_with_probe_in,
-    simulate_with_events, simulate_with_events_in, simulate_with_probe_in, validate, Decision,
+    bag_of_tasks, released_at, simulate, simulate_in, simulate_objectives_in, validate, Decision,
     InfoTier, NoopProbe, OnlineScheduler, Platform, PlatformClass, PlatformEvent,
     PlatformEventKind, Probe, RunCounters, RunObjectives, SchedulerEvent, SimConfig, SimError,
     SimView, SimWorkspace, SlaveEstimate, SlaveEstimates, SlaveId, SlaveSpec, StreamStats,
-    TaskArrival, TaskId, TaskRecord, TaskSource, Time, Timeline, Trace, TraceRecorder,
+    TaskArrival, TaskId, TaskInput, TaskRecord, TaskSource, Time, Timeline, Trace, TraceRecorder,
     TraceViolation,
 };

@@ -115,9 +115,29 @@ mod tests {
     use super::*;
     use crate::Algorithm;
     use mss_sim::{
-        bag_of_tasks, simulate, simulate_with_events, validate, Platform, PlatformEvent,
-        PlatformEventKind, SimConfig, Time, Timeline,
+        bag_of_tasks, simulate, simulate_in, validate, NoopProbe, OnlineScheduler, Platform,
+        PlatformEvent, PlatformEventKind, SimConfig, SimError, SimWorkspace, TaskArrival, Time,
+        Timeline, Trace,
     };
+
+    /// A fresh-workspace, unprobed run over a dynamic platform.
+    fn simulate_timeline(
+        pf: &Platform,
+        tasks: &[TaskArrival],
+        cfg: &SimConfig,
+        tl: &Timeline,
+        scheduler: &mut dyn OnlineScheduler,
+    ) -> Result<Trace, SimError> {
+        simulate_in(
+            &mut SimWorkspace::new(),
+            pf,
+            tasks,
+            cfg,
+            tl,
+            scheduler,
+            &mut NoopProbe,
+        )
+    }
 
     fn platform() -> Platform {
         Platform::from_vectors(&[0.4, 1.0, 0.2], &[2.0, 5.0, 7.0])
@@ -159,7 +179,7 @@ mod tests {
         let cfg = SimConfig::with_horizon(tasks.len());
         let tl = crash_recover(0, 4.0, 30.0);
         for a in Algorithm::ALL {
-            let trace = simulate_with_events(&pf, &tasks, &cfg, &tl, &mut Redispatch::wrap(a))
+            let trace = simulate_timeline(&pf, &tasks, &cfg, &tl, &mut Redispatch::wrap(a))
                 .unwrap_or_else(|e| panic!("{a}+RD failed: {e}"));
             assert_eq!(trace.len(), tasks.len());
             let violations = validate(&trace, &pf);
@@ -173,7 +193,7 @@ mod tests {
         // fast slave forever; wrapped, the send goes to the slow one.
         let pf = Platform::from_vectors(&[1.0, 1.0], &[3.0, 7.0]);
         let tl = crash_recover(0, 0.5, 1000.0); // effectively never returns
-        let trace = simulate_with_events(
+        let trace = simulate_timeline(
             &pf,
             &bag_of_tasks(3),
             &SimConfig::default(),
@@ -201,7 +221,7 @@ mod tests {
             max_steps: 20_000,
             ..SimConfig::default()
         };
-        let err = simulate_with_events(
+        let err = simulate_timeline(
             &pf,
             &bag_of_tasks(3),
             &cfg,
@@ -235,7 +255,7 @@ mod tests {
             })
             .collect(),
         );
-        let trace = simulate_with_events(
+        let trace = simulate_timeline(
             &pf,
             &bag_of_tasks(4),
             &SimConfig::default(),

@@ -17,10 +17,30 @@
 
 use mss_core::{Algorithm, Redispatch};
 use mss_sim::{
-    bag_of_tasks, simulate, simulate_with_events, Decision, InfoTier, OnlineScheduler, Platform,
-    PlatformEvent, PlatformEventKind, SchedulerEvent, SimConfig, SimView, SlaveId, TaskArrival,
-    Time, Timeline,
+    bag_of_tasks, simulate, simulate_in, Decision, InfoTier, NoopProbe, OnlineScheduler, Platform,
+    PlatformEvent, PlatformEventKind, SchedulerEvent, SimConfig, SimError, SimView, SimWorkspace,
+    SlaveId, TaskArrival, Time, Timeline, Trace,
 };
+
+/// A fresh-workspace, unprobed run over a dynamic platform.
+fn simulate_timeline(
+    platform: &Platform,
+    tasks: &[TaskArrival],
+    cfg: &SimConfig,
+    timeline: &Timeline,
+    scheduler: &mut dyn OnlineScheduler,
+) -> Result<Trace, SimError> {
+    let mut ws = SimWorkspace::new();
+    simulate_in(
+        &mut ws,
+        platform,
+        tasks,
+        cfg,
+        timeline,
+        scheduler,
+        &mut NoopProbe,
+    )
+}
 use proptest::prelude::*;
 
 /// Forwards every call to the inner scheduler, but first asserts that the
@@ -140,16 +160,16 @@ proptest! {
         // runs must then report identically.
         let cfg = SimConfig { max_steps: 100_000, ..SimConfig::default() };
         for a in Algorithm::ALL {
-            let plain = simulate_with_events(
+            let plain = simulate_timeline(
                 &platform, &tasks, &cfg, &timeline, &mut a.build());
-            let oracled = simulate_with_events(
+            let oracled = simulate_timeline(
                 &platform, &tasks, &cfg, &timeline,
                 &mut LegacyOracle { inner: a.build() });
             prop_assert_eq!(&plain, &oracled, "{} diverged under the oracle", a);
 
-            let wrapped = simulate_with_events(
+            let wrapped = simulate_timeline(
                 &platform, &tasks, &cfg, &timeline, &mut Redispatch::wrap(a));
-            let wrapped_oracled = simulate_with_events(
+            let wrapped_oracled = simulate_timeline(
                 &platform, &tasks, &cfg, &timeline,
                 &mut LegacyOracle { inner: Redispatch::wrap(a) });
             prop_assert_eq!(&wrapped, &wrapped_oracled, "{}+RD diverged", a);

@@ -23,8 +23,8 @@
 
 use mss_core::heuristics::planning::{backward_counts, sljf_dispatch, PlanScratch};
 use mss_core::{
-    simulate_with_events, ListScheduling, Platform, PlatformEvent, PlatformEventKind, Redispatch,
-    RoundRobin, RrOrder, SimConfig, Srpt, TaskArrival, Time, Timeline, Trace,
+    simulate_in, ListScheduling, NoopProbe, Platform, PlatformEvent, PlatformEventKind, Redispatch,
+    RoundRobin, RrOrder, SimConfig, SimWorkspace, Srpt, TaskArrival, Time, Timeline, Trace,
 };
 use mss_obs::kernel_stats::{kernel_stats_reset, kernel_stats_snapshot};
 use mss_sim::{
@@ -146,7 +146,16 @@ fn run(
         info: tier,
         ..SimConfig::default()
     };
-    simulate_with_events(platform, tasks, &cfg, timeline, sched)
+    let mut ws = SimWorkspace::new();
+    simulate_in(
+        &mut ws,
+        platform,
+        tasks,
+        &cfg,
+        timeline,
+        sched,
+        &mut NoopProbe,
+    )
 }
 
 proptest! {

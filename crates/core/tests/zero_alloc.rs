@@ -16,7 +16,8 @@
 
 use mss_core::{ListScheduling, OnlineScheduler, PlanKind, Planned, RoundRobin};
 use mss_sim::{
-    bag_of_tasks, simulate_in, InfoTier, Platform, SimConfig, SimWorkspace, TREE_THRESHOLD,
+    bag_of_tasks, simulate_in, InfoTier, NoopProbe, Platform, SimConfig, SimWorkspace, Timeline,
+    TREE_THRESHOLD,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -74,11 +75,30 @@ fn warm_ls_and_sljf_reruns_allocate_nothing() {
         (Box::new(RoundRobin::rrc()), &learning),
         (Box::new(RoundRobin::rrp()), &learning),
     ];
+    let tl = Timeline::EMPTY;
     for (mut sched, cfg) in schedulers {
-        let warm = simulate_in(&mut ws, &platform, &tasks, cfg, sched.as_mut()).unwrap();
+        let warm = simulate_in(
+            &mut ws,
+            &platform,
+            &tasks,
+            cfg,
+            &tl,
+            sched.as_mut(),
+            &mut NoopProbe,
+        )
+        .unwrap();
         assert_eq!(warm.len(), n);
         let before = ALLOCS.load(Ordering::SeqCst);
-        let trace = simulate_in(&mut ws, &platform, &tasks, cfg, sched.as_mut()).unwrap();
+        let trace = simulate_in(
+            &mut ws,
+            &platform,
+            &tasks,
+            cfg,
+            &tl,
+            sched.as_mut(),
+            &mut NoopProbe,
+        )
+        .unwrap();
         let during = ALLOCS.load(Ordering::SeqCst) - before;
         assert_eq!(
             trace,

@@ -1,10 +1,10 @@
 //! `ms-lab bench` — the reproducible performance baseline.
 //!
-//! Runs the two hot loops the Criterion suite tracks (`bench_engine`'s
-//! task-scaling loop and `bench_sweep`'s cells/second grid) with plain
-//! wall-clock timing and emits a schema-stable `BENCH_engine.json`, so the
-//! repository records a perf trajectory point per change instead of only
-//! printing transient bench output. CI's `bench-smoke` job runs
+//! The repository's one bench harness: times the engine, sweep, streamed
+//! and decision-kernel hot loops with plain wall-clock timing and emits a
+//! schema-stable `BENCH_engine.json`, so the repository records a perf
+//! trajectory point per change instead of only printing transient bench
+//! output. CI's `bench-smoke` job runs
 //! `ms-lab bench --quick` and uploads the JSON as an artifact.
 //!
 //! Metrics (schema v5):
@@ -31,7 +31,8 @@
 //! * **tasks/sec (streamed)** — the `stream/1M-tasks-100-slaves` entry: a
 //!   million-task uniform stream pulled lazily from a seeded
 //!   [`mss_workload::GeneratedSource`] on a 100-slave platform through the
-//!   bounded-memory engine ([`mss_core::simulate_streamed_objectives_in`]),
+//!   bounded-memory engine ([`mss_core::simulate_objectives_in`] over a
+//!   source),
 //!   recording throughput plus the live/resident task-slot high-water
 //!   marks the streaming contract (#13) caps at O(slaves + outstanding).
 //! * **allocs_per_event_steady_state** — the engine's zero-allocation
@@ -42,8 +43,8 @@
 //!   drifts from the committed BENCH_engine.json).
 
 use mss_core::{
-    bag_of_tasks, simulate_in, simulate_streamed_objectives_in, simulate_with_probe_in, Algorithm,
-    Platform, RunCounters, SimConfig, SimWorkspace, Timeline,
+    bag_of_tasks, simulate_in, simulate_objectives_in, Algorithm, NoopProbe, Platform, RunCounters,
+    SimConfig, SimWorkspace, Timeline,
 };
 use mss_sweep::{run_cells, spec_from_toml, SweepConfig};
 use mss_workload::{ArrivalProcess, GeneratedSource, TaskSource};
@@ -265,7 +266,9 @@ fn engine_bench(quick: bool) -> (EngineBench, f64) {
             &platform,
             &tasks,
             &cfg,
+            &Timeline::EMPTY,
             &mut Algorithm::ListScheduling.build(),
+            &mut NoopProbe,
         )
         .expect("reference workload simulates");
         assert_eq!(trace.len(), tasks_n);
@@ -274,7 +277,7 @@ fn engine_bench(quick: bool) -> (EngineBench, f64) {
     // comparable with earlier trajectory points) measures callback elision
     // on the same workload.
     let mut counters = RunCounters::new();
-    simulate_with_probe_in(
+    simulate_in(
         &mut ws,
         &platform,
         &tasks,
@@ -326,13 +329,14 @@ fn stream_bench(quick: bool) -> StreamBench {
     let mut peak_resident = 0usize;
     let (best, _) = time_loop(iters, || {
         source.reset();
-        let stats = simulate_streamed_objectives_in(
+        let stats = simulate_objectives_in(
             &mut ws,
             &platform,
             &mut source,
             &cfg,
             &Timeline::EMPTY,
             scheduler.as_mut(),
+            &mut NoopProbe,
         )
         .expect("streamed reference workload simulates");
         assert_eq!(stats.tasks, n);
@@ -385,13 +389,14 @@ fn kernel_point(m: usize, quick: bool) -> KernelScalingPoint {
         let mut objectives = None;
         let (best, _) = time_loop(iters, || {
             source.reset();
-            let stats = simulate_streamed_objectives_in(
+            let stats = simulate_objectives_in(
                 &mut ws,
                 &platform,
                 &mut source,
                 &cfg,
                 &Timeline::EMPTY,
                 scheduler,
+                &mut NoopProbe,
             )
             .expect("ladder workload simulates");
             assert_eq!(stats.tasks, tasks);

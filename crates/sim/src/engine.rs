@@ -14,18 +14,21 @@
 //! before any decision is taken, so a deterministic scheduler always sees
 //! the same history — the adversary games rely on this to replay prefixes.
 //!
-//! [`simulate_with_events`] additionally consumes a platform-event
+//! [`simulate_in`] is the general run: it also consumes a platform-event
 //! [`Timeline`] (slave failures, recoveries, link/speed drift — see
-//! [`crate::events`]): timeline events enter the same heap after the task
-//! releases, so the determinism contract extends unchanged to dynamic
-//! platforms, and an empty timeline is bit-for-bit the static engine.
+//! [`crate::events`]), pulls tasks from a [`TaskSource`] as readily as from
+//! a slice ([`TaskInput`]), and reports to a [`Probe`]. Timeline events
+//! enter the same heap after the task releases, so the determinism contract
+//! extends unchanged to dynamic platforms, and an empty timeline is
+//! bit-for-bit the static engine. [`simulate_objectives_in`] is the same
+//! run returning only the objectives.
 //!
 //! # The zero-allocation hot path
 //!
 //! The event loop performs **no heap allocation in steady state**: every
 //! buffer it touches lives in a [`SimWorkspace`] that is sized once and
 //! reused, both across the events of one run and — through [`simulate_in`]
-//! and [`simulate_with_events_in`] — across runs (the sweep executor keeps
+//! and [`simulate_objectives_in`] — across runs (the sweep executor keeps
 //! one workspace per worker thread). Three mechanisms make this possible:
 //!
 //! * **incrementally maintained slave views** — the [`SlaveView`] handed to
@@ -282,7 +285,8 @@ enum TaskPhase {
 ///
 /// # Examples
 /// ```
-/// use mss_sim::{simulate_in, SimConfig, SimWorkspace, Platform, bag_of_tasks};
+/// use mss_sim::{simulate_in, NoopProbe, SimConfig, SimWorkspace, Platform, Timeline,
+///               bag_of_tasks};
 /// use mss_sim::{Decision, OnlineScheduler, SchedulerEvent, SimView, SlaveId};
 ///
 /// struct FirstSlave;
@@ -299,10 +303,11 @@ enum TaskPhase {
 /// let platform = Platform::from_vectors(&[1.0], &[2.0]);
 /// let mut ws = SimWorkspace::new();
 /// // Buffers warmed by the first run are reused by the second.
-/// let a = simulate_in(&mut ws, &platform, &bag_of_tasks(5), &SimConfig::default(),
-///                     &mut FirstSlave).unwrap();
-/// let b = simulate_in(&mut ws, &platform, &bag_of_tasks(5), &SimConfig::default(),
-///                     &mut FirstSlave).unwrap();
+/// let (tasks, cfg) = (bag_of_tasks(5), SimConfig::default());
+/// let a = simulate_in(&mut ws, &platform, &tasks, &cfg, &Timeline::EMPTY,
+///                     &mut FirstSlave, &mut NoopProbe).unwrap();
+/// let b = simulate_in(&mut ws, &platform, &tasks, &cfg, &Timeline::EMPTY,
+///                     &mut FirstSlave, &mut NoopProbe).unwrap();
 /// assert_eq!(a, b);
 /// ```
 #[derive(Debug, Default)]
@@ -1318,14 +1323,54 @@ impl<'a, P: Probe, F: Feed> Engine<'a, P, F> {
     }
 }
 
-/// Runs `scheduler` on `tasks` over `platform` and returns the trace.
+/// The tasks of one run: a materialized slice, or a [`TaskSource`] the
+/// engine pulls from.
+///
+/// Built with `From`, so the run functions take `&tasks` (a slice or a
+/// `Vec`) and `&mut source` alike. Each run matches on it once and drives
+/// a loop monomorphized for that input.
+pub enum TaskInput<'a> {
+    /// A materialized instance. It may be in any release order; task `i` of
+    /// the slice runs (and is traced) as `TaskId(i)`.
+    Slice(&'a [TaskArrival]),
+    /// A lazily pulled stream. Tasks get ids in pull order. Objective runs
+    /// recycle finalized task slots, so memory stays O(slaves + outstanding
+    /// tasks) however long the stream is; trace runs retain every record.
+    ///
+    /// # Panics
+    /// The run panics if the source violates the non-decreasing release
+    /// contract.
+    Source(&'a mut dyn TaskSource),
+}
+
+impl<'a> From<&'a [TaskArrival]> for TaskInput<'a> {
+    fn from(tasks: &'a [TaskArrival]) -> Self {
+        TaskInput::Slice(tasks)
+    }
+}
+
+impl<'a> From<&'a Vec<TaskArrival>> for TaskInput<'a> {
+    fn from(tasks: &'a Vec<TaskArrival>) -> Self {
+        TaskInput::Slice(tasks)
+    }
+}
+
+impl<'a, S: TaskSource + 'a> From<&'a mut S> for TaskInput<'a> {
+    fn from(source: &'a mut S) -> Self {
+        TaskInput::Source(source)
+    }
+}
+
+/// Runs `scheduler` on `tasks` over the static `platform` and returns the
+/// trace.
 ///
 /// The scheduler sees nominal task sizes; the engine bills actual
 /// (possibly perturbed) ones. Fails if the scheduler stalls, produces an
 /// invalid decision, or exhausts the step budget.
 ///
-/// Allocates a fresh [`SimWorkspace`] internally; use [`simulate_in`] to
-/// amortize buffer set-up over many runs.
+/// Allocates a fresh [`SimWorkspace`] internally; [`simulate_in`] reuses
+/// one across runs and also takes a [`Timeline`], a [`TaskSource`] and a
+/// [`Probe`].
 ///
 /// # Examples
 /// ```
@@ -1356,237 +1401,42 @@ pub fn simulate(
     config: &SimConfig,
     scheduler: &mut dyn OnlineScheduler,
 ) -> Result<Trace, SimError> {
-    simulate_with_events(platform, tasks, config, &Timeline::EMPTY, scheduler)
-}
-
-/// [`simulate`] with caller-provided buffers: runs entirely inside `ws`,
-/// so repeated calls (a sweep, a benchmark loop) allocate nothing once the
-/// workspace is warm. Results are identical to [`simulate`].
-pub fn simulate_in(
-    ws: &mut SimWorkspace,
-    platform: &Platform,
-    tasks: &[TaskArrival],
-    config: &SimConfig,
-    scheduler: &mut dyn OnlineScheduler,
-) -> Result<Trace, SimError> {
-    simulate_with_events_in(ws, platform, tasks, config, &Timeline::EMPTY, scheduler)
-}
-
-/// Like [`simulate`], over a *dynamic* platform: `timeline` scripts slave
-/// failures, recoveries, and link/speed drift (see [`crate::events`]).
-///
-/// Tasks on a failing slave are lost and re-enter the pending queue; sends
-/// to a down slave are permitted (the master may be fault-oblivious or
-/// gamble on a recovery) but are lost on arrival while the slave is down.
-/// With an empty timeline this is exactly [`simulate`], bit for bit.
-///
-/// # Examples
-/// ```
-/// use mss_sim::{simulate, simulate_with_events, SimConfig, Platform, Timeline,
-///               bag_of_tasks};
-/// # use mss_sim::{Decision, OnlineScheduler, SchedulerEvent, SimView, SlaveId};
-/// # struct FirstSlave;
-/// # impl OnlineScheduler for FirstSlave {
-/// #     fn name(&self) -> String { "first".into() }
-/// #     fn on_event(&mut self, view: &SimView<'_>, _e: SchedulerEvent) -> Decision {
-/// #         match (view.link_idle(), view.pending_tasks().first()) {
-/// #             (true, Some(&task)) => Decision::Send { task, slave: SlaveId(0) },
-/// #             _ => Decision::Idle,
-/// #         }
-/// #     }
-/// # }
-/// let platform = Platform::from_vectors(&[1.0], &[2.0]);
-/// let tasks = bag_of_tasks(3);
-/// // An empty timeline is bit-for-bit the static engine.
-/// let dynamic = simulate_with_events(&platform, &tasks, &SimConfig::default(),
-///                                    &Timeline::EMPTY, &mut FirstSlave).unwrap();
-/// let static_ = simulate(&platform, &tasks, &SimConfig::default(),
-///                        &mut FirstSlave).unwrap();
-/// assert_eq!(dynamic, static_);
-/// ```
-pub fn simulate_with_events(
-    platform: &Platform,
-    tasks: &[TaskArrival],
-    config: &SimConfig,
-    timeline: &Timeline,
-    scheduler: &mut dyn OnlineScheduler,
-) -> Result<Trace, SimError> {
-    let mut ws = SimWorkspace::new();
-    simulate_with_events_in(&mut ws, platform, tasks, config, timeline, scheduler)
-}
-
-/// [`simulate_with_events`] with caller-provided buffers (see
-/// [`simulate_in`]).
-pub fn simulate_with_events_in(
-    ws: &mut SimWorkspace,
-    platform: &Platform,
-    tasks: &[TaskArrival],
-    config: &SimConfig,
-    timeline: &Timeline,
-    scheduler: &mut dyn OnlineScheduler,
-) -> Result<Trace, SimError> {
-    simulate_with_probe_in(
-        ws,
+    simulate_in(
+        &mut SimWorkspace::new(),
         platform,
         tasks,
         config,
-        timeline,
+        &Timeline::EMPTY,
         scheduler,
         &mut NoopProbe,
     )
 }
 
-/// [`simulate_with_events_in`] with an instrumentation [`Probe`] observing
-/// every engine boundary (see [`mss_obs::Probe`] for the hook catalogue).
+/// The general run: `scheduler` on `tasks` (a slice or a [`TaskSource`],
+/// see [`TaskInput`]) over `platform` under the platform-event `timeline`,
+/// inside the reusable buffers `ws`, with `probe` observing every engine
+/// boundary. Returns the full [`Trace`].
 ///
-/// The probe is an observer only: for any probe, the returned trace (or
-/// error) is bit-identical to the unprobed run — probes cannot influence
-/// the engine, only watch it. With [`NoopProbe`] the monomorphized engine
-/// *is* the unprobed engine, instruction for instruction.
-///
-/// # Examples
-/// ```
-/// use mss_sim::{simulate_with_probe_in, SimConfig, SimWorkspace, Platform,
-///               Timeline, bag_of_tasks};
-/// use mss_obs::RunCounters;
-/// # use mss_sim::{Decision, OnlineScheduler, SchedulerEvent, SimView, SlaveId};
-/// # struct FirstSlave;
-/// # impl OnlineScheduler for FirstSlave {
-/// #     fn name(&self) -> String { "first".into() }
-/// #     fn on_event(&mut self, view: &SimView<'_>, _e: SchedulerEvent) -> Decision {
-/// #         match (view.link_idle(), view.pending_tasks().first()) {
-/// #             (true, Some(&task)) => Decision::Send { task, slave: SlaveId(0) },
-/// #             _ => Decision::Idle,
-/// #         }
-/// #     }
-/// # }
-/// let platform = Platform::from_vectors(&[1.0], &[2.0]);
-/// let mut ws = SimWorkspace::new();
-/// let mut counters = RunCounters::new();
-/// let trace = simulate_with_probe_in(&mut ws, &platform, &bag_of_tasks(3),
-///                                    &SimConfig::default(), &Timeline::EMPTY,
-///                                    &mut FirstSlave, &mut counters).unwrap();
-/// assert_eq!(trace.makespan(), 7.0);
-/// assert_eq!(counters.sends_delivered, 3);
-/// assert_eq!(counters.computes_completed, 3);
-/// ```
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_with_probe_in<P: Probe>(
-    ws: &mut SimWorkspace,
-    platform: &Platform,
-    tasks: &[TaskArrival],
-    config: &SimConfig,
-    timeline: &Timeline,
-    scheduler: &mut dyn OnlineScheduler,
-    probe: &mut P,
-) -> Result<Trace, SimError> {
-    drive(ws, platform, tasks, config, timeline, scheduler, probe)?;
-    Ok(trace_from(ws))
-}
-
-/// The objective values of one completed run.
-///
-/// Computed directly from the engine's internal records with the *same
-/// folds, in the same order,* as [`Trace::makespan`], [`Trace::max_flow`]
-/// and [`Trace::sum_flow`], so the numbers are bit-identical to going
-/// through a [`Trace`] — without materializing one.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RunObjectives {
-    /// Makespan `max C_i` (0 for an empty run).
-    pub makespan: f64,
-    /// Maximum response time `max (C_i − r_i)`.
-    pub max_flow: f64,
-    /// Sum of response times `Σ (C_i − r_i)`.
-    pub sum_flow: f64,
-}
-
-/// [`simulate_with_events_in`] for callers that only need the objective
-/// values: skips building the per-task [`Trace`] (the one remaining
-/// per-run output allocation), which is what a sweep over thousands of
-/// cells measures anyway. Results are bit-identical to computing the same
-/// objectives from the returned trace.
-pub fn simulate_objectives_in(
-    ws: &mut SimWorkspace,
-    platform: &Platform,
-    tasks: &[TaskArrival],
-    config: &SimConfig,
-    timeline: &Timeline,
-    scheduler: &mut dyn OnlineScheduler,
-) -> Result<RunObjectives, SimError> {
-    simulate_objectives_with_probe_in(
-        ws,
-        platform,
-        tasks,
-        config,
-        timeline,
-        scheduler,
-        &mut NoopProbe,
-    )
-}
-
-/// [`simulate_objectives_in`] with an instrumentation [`Probe`] (see
-/// [`simulate_with_probe_in`]). This is what a counting sweep runs per
-/// cell: objectives only, hooks tallied thread-locally.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_objectives_with_probe_in<P: Probe>(
-    ws: &mut SimWorkspace,
-    platform: &Platform,
-    tasks: &[TaskArrival],
-    config: &SimConfig,
-    timeline: &Timeline,
-    scheduler: &mut dyn OnlineScheduler,
-    probe: &mut P,
-) -> Result<RunObjectives, SimError> {
-    drive(ws, platform, tasks, config, timeline, scheduler, probe)?;
-    let records = &ws.records;
-    Ok(RunObjectives {
-        makespan: records.iter().map(|r| r.compute_end).fold(0.0, f64::max),
-        max_flow: records
-            .iter()
-            .map(|r| r.compute_end - r.release)
-            .fold(0.0, f64::max),
-        sum_flow: records.iter().map(|r| r.compute_end - r.release).sum(),
-    })
-}
-
-/// Result of a bounded-memory streamed run (see
-/// [`simulate_streamed_objectives_in`]): the objective values plus the
-/// memory telemetry the streaming contract is stated in.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct StreamStats {
-    /// The run's objectives — bit-identical to the materialized
-    /// [`simulate_objectives_in`] on the same instance.
-    pub objectives: RunObjectives,
-    /// Tasks pulled from the source (the instance size).
-    pub tasks: usize,
-    /// High-water mark of *live* task slots: released tasks whose record
-    /// had not yet been finalized. This is what the bounded-memory
-    /// contract bounds by O(slaves + outstanding), independent of the
-    /// instance size.
-    pub peak_live_slots: usize,
-    /// High-water mark of *resident* task slots (live + finalized slots
-    /// not yet recycled). Stays within 2× the live peak plus the
-    /// compaction threshold.
-    pub peak_resident_slots: usize,
-}
-
-/// Runs `scheduler` over the tasks pulled from `source` and returns the
-/// full [`Trace`].
-///
-/// Wherever the instance also fits in memory, the result is bit-identical
-/// to materializing the stream into a `Vec` and calling [`simulate`] —
-/// streaming is an evaluation strategy, not a model change. Because a
-/// trace is per-task output, this entry point retains every task record
-/// (memory grows with the instance); use
-/// [`simulate_streamed_objectives_in`] for the bounded-memory mode.
-///
-/// # Panics
-/// Panics if `source` violates the non-decreasing release contract.
+/// * **Timeline.** `timeline` scripts slave failures, recoveries and
+///   link/speed drift (see [`crate::events`]). Tasks on a failing slave
+///   are lost and re-enter the pending queue; sends to a down slave are
+///   permitted but lost on arrival. [`Timeline::EMPTY`] is the static
+///   engine, bit for bit.
+/// * **Workspace.** Once `ws` is warm, a run allocates nothing but the
+///   returned trace. Results are identical for a fresh or reused `ws`.
+/// * **Source.** A pulled stream gives the same trace as the materialized
+///   instance it yields; streaming is an evaluation strategy, not a model
+///   change.
+/// * **Probe.** Probes only observe: the trace (or error) is bit-identical
+///   for any probe, and with [`NoopProbe`] the monomorphized engine is the
+///   unprobed one, instruction for instruction. Hooks receive task *ids*,
+///   so a probe must not assume it can index a task table of the instance
+///   size (contract #13).
 ///
 /// # Examples
 /// ```
-/// use mss_sim::{simulate, simulate_streamed, SimConfig, Platform, TaskArrival,
-///               TaskSource, bag_of_tasks};
+/// use mss_sim::{simulate_in, NoopProbe, SimConfig, SimWorkspace, Platform, TaskArrival,
+///               TaskSource, Timeline, bag_of_tasks};
 /// # use mss_sim::{Decision, OnlineScheduler, SchedulerEvent, SimView, SlaveId};
 /// # struct FirstSlave;
 /// # impl OnlineScheduler for FirstSlave {
@@ -1608,107 +1458,162 @@ pub struct StreamStats {
 /// }
 ///
 /// let platform = Platform::from_vectors(&[1.0], &[2.0]);
-/// let streamed = simulate_streamed(&platform, &mut Bag(0, 3), &SimConfig::default(),
-///                                  &mut FirstSlave).unwrap();
-/// let materialized = simulate(&platform, &bag_of_tasks(3), &SimConfig::default(),
-///                             &mut FirstSlave).unwrap();
+/// let cfg = SimConfig::default();
+/// let mut ws = SimWorkspace::new();
+/// let materialized = simulate_in(&mut ws, &platform, &bag_of_tasks(3), &cfg,
+///                                &Timeline::EMPTY, &mut FirstSlave, &mut NoopProbe).unwrap();
+/// let streamed = simulate_in(&mut ws, &platform, &mut Bag(0, 3), &cfg,
+///                            &Timeline::EMPTY, &mut FirstSlave, &mut NoopProbe).unwrap();
 /// assert_eq!(streamed, materialized);
+/// assert_eq!(materialized.makespan(), 7.0);
 /// ```
-pub fn simulate_streamed(
-    platform: &Platform,
-    source: &mut dyn TaskSource,
-    config: &SimConfig,
-    scheduler: &mut dyn OnlineScheduler,
-) -> Result<Trace, SimError> {
-    let mut ws = SimWorkspace::new();
-    simulate_streamed_with_probe_in(
-        &mut ws,
-        platform,
-        source,
-        config,
-        &Timeline::EMPTY,
-        scheduler,
-        &mut NoopProbe,
-    )
-}
-
-/// [`simulate_streamed`] with caller-provided buffers, a dynamic-platform
-/// [`Timeline`], and an instrumentation [`Probe`] (see
-/// [`simulate_with_probe_in`]). Retains every task record to build the
-/// trace; memory grows with the instance.
 #[allow(clippy::too_many_arguments)]
-pub fn simulate_streamed_with_probe_in<P: Probe>(
+pub fn simulate_in<'t, P: Probe>(
     ws: &mut SimWorkspace,
     platform: &Platform,
-    source: &mut dyn TaskSource,
+    tasks: impl Into<TaskInput<'t>>,
     config: &SimConfig,
     timeline: &Timeline,
     scheduler: &mut dyn OnlineScheduler,
     probe: &mut P,
 ) -> Result<Trace, SimError> {
-    let mut feed = StreamFeed::new(source, false);
-    drive_feed(ws, platform, &mut feed, config, timeline, scheduler, probe)?;
+    match tasks.into() {
+        TaskInput::Slice(tasks) => {
+            let mut feed = SliceFeed { tasks, cursor: 0 };
+            drive_feed(ws, platform, &mut feed, config, timeline, scheduler, probe)?;
+        }
+        TaskInput::Source(source) => {
+            let mut feed = StreamFeed::new(source, false);
+            drive_feed(ws, platform, &mut feed, config, timeline, scheduler, probe)?;
+        }
+    }
     Ok(trace_from(ws))
 }
 
-/// The bounded-memory streamed run: pulls tasks from `source`, recycles a
-/// task's slot once its record is finalized, and returns the objectives
-/// plus the slot-window telemetry — without ever holding the instance in
-/// memory. Peak resident memory is O(slaves + outstanding tasks), so a
-/// million-task instance runs in a working set of a few hundred slots.
+/// The objective values of one completed run.
 ///
-/// The objectives are bit-identical to [`simulate_objectives_in`] over
-/// the materialized stream: finalization folds each record in task-id
-/// order with the same float arithmetic.
-pub fn simulate_streamed_objectives_in(
-    ws: &mut SimWorkspace,
-    platform: &Platform,
-    source: &mut dyn TaskSource,
-    config: &SimConfig,
-    timeline: &Timeline,
-    scheduler: &mut dyn OnlineScheduler,
-) -> Result<StreamStats, SimError> {
-    simulate_streamed_objectives_with_probe_in(
-        ws,
-        platform,
-        source,
-        config,
-        timeline,
-        scheduler,
-        &mut NoopProbe,
-    )
+/// Computed directly from the engine's internal records with the *same
+/// folds, in the same order,* as [`Trace::makespan`], [`Trace::max_flow`]
+/// and [`Trace::sum_flow`], so the numbers are bit-identical to going
+/// through a [`Trace`] — without materializing one.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct RunObjectives {
+    /// Makespan `max C_i` (0 for an empty run).
+    pub makespan: f64,
+    /// Maximum response time `max (C_i − r_i)`.
+    pub max_flow: f64,
+    /// Sum of response times `Σ (C_i − r_i)`.
+    pub sum_flow: f64,
 }
 
-/// [`simulate_streamed_objectives_in`] with an instrumentation [`Probe`].
-/// Probe hooks observe the same event stream as the materialized run, so
-/// digest and telemetry probes produce bit-identical output — but hooks
-/// receive task *ids*, not table indices: a probe must not assume it can
-/// index a task table of the instance size (contract #13).
+/// Result of [`simulate_objectives_in`]: the objective values plus the
+/// task-slot telemetry the bounded-memory streaming contract is stated in.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct StreamStats {
+    /// The run's objectives — bit-identical for a slice and for a source
+    /// yielding the same tasks.
+    pub objectives: RunObjectives,
+    /// Tasks in the instance (pulled from the source, or the slice length).
+    pub tasks: usize,
+    /// High-water mark of *live* task slots: released tasks whose record
+    /// had not yet been finalized. For a source this is what the
+    /// bounded-memory contract bounds by O(slaves + outstanding),
+    /// independent of the instance size. A slice run finalizes nothing
+    /// before the end, so it reports `tasks`.
+    pub peak_live_slots: usize,
+    /// High-water mark of *resident* task slots (live + finalized slots
+    /// not yet recycled). For a source it stays within 2× the live peak
+    /// plus the compaction threshold; a slice run holds every slot, so it
+    /// reports `tasks`.
+    pub peak_resident_slots: usize,
+}
+
+/// [`simulate_in`] for callers that only need the objective values: skips
+/// building the per-task [`Trace`] (the one remaining per-run output
+/// allocation), which is what a sweep over thousands of cells measures
+/// anyway. The objectives are bit-identical to those of the returned
+/// trace of [`simulate_in`].
+///
+/// From a [`TaskSource`] this is the bounded-memory run: a task's slot is
+/// recycled once its record is finalized (in task-id order, with the same
+/// float folds), so a million-task stream runs in a working set of a few
+/// hundred slots.
+///
+/// # Examples
+/// ```
+/// use mss_sim::{simulate, simulate_objectives_in, NoopProbe, RunCounters, SimConfig,
+///               SimWorkspace, Platform, Timeline, bag_of_tasks};
+/// # use mss_sim::{Decision, OnlineScheduler, SchedulerEvent, SimView, SlaveId};
+/// # struct FirstSlave;
+/// # impl OnlineScheduler for FirstSlave {
+/// #     fn name(&self) -> String { "first".into() }
+/// #     fn on_event(&mut self, view: &SimView<'_>, _e: SchedulerEvent) -> Decision {
+/// #         match (view.link_idle(), view.pending_tasks().first()) {
+/// #             (true, Some(&task)) => Decision::Send { task, slave: SlaveId(0) },
+/// #             _ => Decision::Idle,
+/// #         }
+/// #     }
+/// # }
+/// let platform = Platform::from_vectors(&[1.0], &[2.0]);
+/// let tasks = bag_of_tasks(3);
+/// let mut counters = RunCounters::new();
+/// let run = simulate_objectives_in(&mut SimWorkspace::new(), &platform, &tasks,
+///                                  &SimConfig::default(), &Timeline::EMPTY,
+///                                  &mut FirstSlave, &mut counters).unwrap();
+/// let trace = simulate(&platform, &tasks, &SimConfig::default(), &mut FirstSlave).unwrap();
+/// assert_eq!(run.objectives.makespan, trace.makespan());
+/// assert_eq!(run.tasks, 3);
+/// assert_eq!(counters.sends_delivered, 3);
+/// assert_eq!(counters.computes_completed, 3);
+/// ```
 #[allow(clippy::too_many_arguments)]
-pub fn simulate_streamed_objectives_with_probe_in<P: Probe>(
+pub fn simulate_objectives_in<'t, P: Probe>(
     ws: &mut SimWorkspace,
     platform: &Platform,
-    source: &mut dyn TaskSource,
+    tasks: impl Into<TaskInput<'t>>,
     config: &SimConfig,
     timeline: &Timeline,
     scheduler: &mut dyn OnlineScheduler,
     probe: &mut P,
 ) -> Result<StreamStats, SimError> {
-    let mut feed = StreamFeed::new(source, true);
-    drive_feed(ws, platform, &mut feed, config, timeline, scheduler, probe)?;
-    // The loop finalizes after every batch, so a completed run has folded
-    // every record already; this is belt-and-braces for the empty run.
-    feed.maintain(ws);
-    Ok(StreamStats {
-        objectives: RunObjectives {
-            makespan: feed.makespan,
-            max_flow: feed.max_flow,
-            sum_flow: feed.sum_flow,
-        },
-        tasks: feed.next_id,
-        peak_live_slots: feed.peak_live,
-        peak_resident_slots: feed.peak_resident,
-    })
+    match tasks.into() {
+        TaskInput::Slice(tasks) => {
+            let mut feed = SliceFeed { tasks, cursor: 0 };
+            drive_feed(ws, platform, &mut feed, config, timeline, scheduler, probe)?;
+            let records = &ws.records;
+            Ok(StreamStats {
+                objectives: RunObjectives {
+                    makespan: records.iter().map(|r| r.compute_end).fold(0.0, f64::max),
+                    max_flow: records
+                        .iter()
+                        .map(|r| r.compute_end - r.release)
+                        .fold(0.0, f64::max),
+                    sum_flow: records.iter().map(|r| r.compute_end - r.release).sum(),
+                },
+                tasks: tasks.len(),
+                peak_live_slots: tasks.len(),
+                peak_resident_slots: tasks.len(),
+            })
+        }
+        TaskInput::Source(source) => {
+            let mut feed = StreamFeed::new(source, true);
+            drive_feed(ws, platform, &mut feed, config, timeline, scheduler, probe)?;
+            // The loop finalizes after every batch, so a completed run has
+            // folded every record already; this is belt-and-braces for the
+            // empty run.
+            feed.maintain(ws);
+            Ok(StreamStats {
+                objectives: RunObjectives {
+                    makespan: feed.makespan,
+                    max_flow: feed.max_flow,
+                    sum_flow: feed.sum_flow,
+                },
+                tasks: feed.next_id,
+                peak_live_slots: feed.peak_live,
+                peak_resident_slots: feed.peak_resident,
+            })
+        }
+    }
 }
 
 /// Builds the [`Trace`] out of a driven workspace.
@@ -1746,21 +1651,6 @@ fn probe_decision<P: Probe>(probe: &mut P, now: f64, decision: &Decision) {
         Decision::Send { task, slave } => probe.decision(now, 1, task.0, slave.0 as u64),
         Decision::WakeAt(t) => probe.decision(now, 2, 0, t.as_f64().to_bits()),
     }
-}
-
-/// Runs the event loop to completion over a materialized task slice,
-/// leaving the run's records in `ws`.
-fn drive<P: Probe>(
-    ws: &mut SimWorkspace,
-    platform: &Platform,
-    tasks: &[TaskArrival],
-    config: &SimConfig,
-    timeline: &Timeline,
-    scheduler: &mut dyn OnlineScheduler,
-    probe: &mut P,
-) -> Result<(), SimError> {
-    let mut feed = SliceFeed { tasks, cursor: 0 };
-    drive_feed(ws, platform, &mut feed, config, timeline, scheduler, probe)
 }
 
 /// Runs the event loop to completion over any [`Feed`]. Monomorphized per
@@ -2235,19 +2125,24 @@ mod tests {
         )
     }
 
+    /// A fresh-workspace, unprobed run over a dynamic platform.
+    fn simulate_timeline(
+        pf: &Platform,
+        tasks: &[TaskArrival],
+        tl: &Timeline,
+        scheduler: &mut dyn OnlineScheduler,
+    ) -> Result<Trace, SimError> {
+        let cfg = SimConfig::default();
+        let mut ws = SimWorkspace::new();
+        simulate_in(&mut ws, pf, tasks, &cfg, tl, scheduler, &mut NoopProbe)
+    }
+
     #[test]
     fn empty_timeline_is_bitwise_identical() {
         let pf = platform();
         let tasks = bag_of_tasks(5);
         let a = simulate(&pf, &tasks, &SimConfig::default(), &mut AllToFirst).unwrap();
-        let b = simulate_with_events(
-            &pf,
-            &tasks,
-            &SimConfig::default(),
-            &Timeline::EMPTY,
-            &mut AllToFirst,
-        )
-        .unwrap();
+        let b = simulate_timeline(&pf, &tasks, &Timeline::EMPTY, &mut AllToFirst).unwrap();
         assert_eq!(a, b);
     }
 
@@ -2265,11 +2160,21 @@ mod tests {
             &other_pf,
             &bag_of_tasks(20),
             &SimConfig::default(),
+            &Timeline::EMPTY,
             &mut AllToFirst,
+            &mut NoopProbe,
         )
         .unwrap();
-        let reused =
-            simulate_in(&mut ws, &pf, &tasks, &SimConfig::default(), &mut AllToFirst).unwrap();
+        let reused = simulate_in(
+            &mut ws,
+            &pf,
+            &tasks,
+            &SimConfig::default(),
+            &Timeline::EMPTY,
+            &mut AllToFirst,
+            &mut NoopProbe,
+        )
+        .unwrap();
         assert_eq!(fresh, reused);
     }
 
@@ -2283,7 +2188,9 @@ mod tests {
             &pf,
             &bag_of_tasks(2),
             &SimConfig::default(),
+            &Timeline::EMPTY,
             &mut Lazy,
+            &mut NoopProbe,
         )
         .unwrap_err();
         assert!(matches!(err, SimError::Stalled { .. }));
@@ -2292,7 +2199,9 @@ mod tests {
             &pf,
             &bag_of_tasks(3),
             &SimConfig::default(),
+            &Timeline::EMPTY,
             &mut AllToFirst,
+            &mut NoopProbe,
         )
         .unwrap();
         assert!((trace.makespan() - 10.0).abs() < 1e-12);
@@ -2313,14 +2222,7 @@ mod tests {
             (5.0, 0, PlatformEventKind::Fail),
             (7.5, 0, PlatformEventKind::Recover),
         ]);
-        let trace = simulate_with_events(
-            &pf,
-            &bag_of_tasks(3),
-            &SimConfig::default(),
-            &tl,
-            &mut AllToFirst,
-        )
-        .unwrap();
+        let trace = simulate_timeline(&pf, &bag_of_tasks(3), &tl, &mut AllToFirst).unwrap();
         assert!(validate(&trace, &pf).is_empty());
         assert_eq!(trace.record(TaskId(0)).compute_end, Time::new(4.0));
         let r1 = trace.record(TaskId(1));
@@ -2341,14 +2243,7 @@ mod tests {
             (0.5, 0, PlatformEventKind::Fail),
             (2.0, 0, PlatformEventKind::Recover),
         ]);
-        let trace = simulate_with_events(
-            &pf,
-            &bag_of_tasks(1),
-            &SimConfig::default(),
-            &tl,
-            &mut AllToFirst,
-        )
-        .unwrap();
+        let trace = simulate_timeline(&pf, &bag_of_tasks(1), &tl, &mut AllToFirst).unwrap();
         let r = trace.record(TaskId(0));
         // Re-sends: 0.5-1.5 (lost on arrival), 1.5-2.5 (P1 back at 2.0).
         assert_eq!(r.send_start, Time::new(1.5));
@@ -2362,14 +2257,7 @@ mod tests {
         // rate and ends at 4; T1 starts at 4 and takes 6 seconds.
         let pf = platform();
         let tl = timeline(vec![(2.0, 0, PlatformEventKind::SetSpeedFactor(2.0))]);
-        let trace = simulate_with_events(
-            &pf,
-            &bag_of_tasks(2),
-            &SimConfig::default(),
-            &tl,
-            &mut AllToFirst,
-        )
-        .unwrap();
+        let trace = simulate_timeline(&pf, &bag_of_tasks(2), &tl, &mut AllToFirst).unwrap();
         assert_eq!(trace.record(TaskId(0)).compute_end, Time::new(4.0));
         let r1 = trace.record(TaskId(1));
         assert_eq!(r1.compute_end, Time::new(10.0));
@@ -2415,8 +2303,7 @@ mod tests {
             (2.0, 0, PlatformEventKind::Recover),
         ]);
         let mut w = Watcher { seen: vec![] };
-        let trace = simulate_with_events(&pf, &bag_of_tasks(2), &SimConfig::default(), &tl, &mut w)
-            .unwrap();
+        let trace = simulate_timeline(&pf, &bag_of_tasks(2), &tl, &mut w).unwrap();
         assert_eq!(w.seen, vec!["failed", "recovered"]);
         // The watcher fell back to P2 (the only available slave) after the
         // failure; everything still validates.

@@ -12,8 +12,10 @@
 //!   beforehand;
 //! * **dynamic platforms** (optional): a [`Timeline`] of platform [`events`]
 //!   — slave failures with lost-work re-release, recoveries, link/speed
-//!   drift — consumed by [`simulate_with_events`]; an empty timeline is
-//!   bit-for-bit the paper's static model.
+//!   drift — consumed by [`simulate_in`]; an empty timeline is bit-for-bit
+//!   the paper's static model;
+//! * **streamed instances** (optional): a [`TaskSource`] pulled one task at
+//!   a time instead of a materialized slice (see [`TaskInput`]).
 //!
 //! Schedulers implement [`OnlineScheduler`] and observe the world through
 //! [`SimView`]; [`simulate`] produces a [`Trace`] from which makespan,
@@ -28,11 +30,16 @@
 //! hints hidden too; counts, availability and learned rates only).
 //!
 //! Every engine boundary carries an instrumentation hook ([`Probe`], from
-//! `mss-obs`): [`simulate_with_probe_in`] runs with counters
-//! ([`RunCounters`]) or a span recorder ([`TraceRecorder`]) attached, while
-//! the default [`NoopProbe`] monomorphizes the hooks away entirely — the
-//! unprobed entry points are bit-identical *and* instruction-identical to
-//! the pre-instrumentation engine.
+//! `mss-obs`): [`simulate_in`] and [`simulate_objectives_in`] run with
+//! counters ([`RunCounters`]) or a span recorder ([`TraceRecorder`])
+//! attached, while [`NoopProbe`] monomorphizes the hooks away entirely — an
+//! unprobed run is bit-identical *and* instruction-identical to the
+//! pre-instrumentation engine.
+//!
+//! These three functions are the engine's whole run surface: [`simulate`]
+//! (static platform, fresh buffers, trace out), [`simulate_in`] (every
+//! input explicit, trace out) and [`simulate_objectives_in`] (every input
+//! explicit, objectives and task-slot telemetry out).
 //!
 //! ```
 //! use mss_sim::{simulate, Decision, OnlineScheduler, Platform, SchedulerEvent,
@@ -80,10 +87,8 @@ mod trace;
 mod view;
 
 pub use engine::{
-    simulate, simulate_in, simulate_objectives_in, simulate_objectives_with_probe_in,
-    simulate_streamed, simulate_streamed_objectives_in, simulate_streamed_objectives_with_probe_in,
-    simulate_streamed_with_probe_in, simulate_with_events, simulate_with_events_in,
-    simulate_with_probe_in, RunObjectives, SimConfig, SimError, SimWorkspace, StreamStats,
+    simulate, simulate_in, simulate_objectives_in, RunObjectives, SimConfig, SimError,
+    SimWorkspace, StreamStats, TaskInput,
 };
 pub use events::{PlatformEvent, PlatformEventKind, Timeline};
 pub use gantt::render as render_gantt;

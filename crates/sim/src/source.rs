@@ -1,11 +1,11 @@
 //! The [`TaskSource`] trait: a pull-based, bounded-memory task stream.
 //!
-//! The materialized entry points ([`crate::simulate`] and friends) receive
-//! the whole instance as a `&[TaskArrival]`; the streamed entry points
-//! ([`crate::simulate_streamed`] and friends) instead *pull* arrivals one
-//! at a time from a `TaskSource`, so an instance of a million tasks never
-//! exists in memory at once — the engine keeps a bounded window of live
-//! task slots and recycles a slot once its record is finalized.
+//! A run's tasks are either a materialized `&[TaskArrival]` or a
+//! `TaskSource` ([`crate::TaskInput`]). From a source, [`crate::simulate_in`]
+//! and [`crate::simulate_objectives_in`] *pull* arrivals one at a time, so
+//! an instance of a million tasks never exists in memory at once — the
+//! objectives run keeps a bounded window of live task slots and recycles a
+//! slot once its record is finalized.
 //!
 //! Implementations live in `mss-workload` (`MaterializedSource`,
 //! `GeneratedSource`, `TraceSource`); this crate only defines the contract

@@ -8,9 +8,8 @@
 //!   ledger pinpoints that decision as the first divergent event.
 
 use mss_sim::{
-    simulate_with_probe_in, Decision, DigestProbe, MetricsProbe, NoopProbe, OnlineScheduler,
-    Platform, SchedulerEvent, SimConfig, SimView, SimWorkspace, SlaveId, TaskArrival, Time,
-    Timeline,
+    simulate_in, Decision, DigestProbe, MetricsProbe, NoopProbe, OnlineScheduler, Platform,
+    SchedulerEvent, SimConfig, SimView, SimWorkspace, SlaveId, TaskArrival, Time, Timeline,
 };
 use proptest::prelude::*;
 
@@ -117,7 +116,7 @@ fn digest_of<P: mss_sim::Probe>(
     let mut ws = SimWorkspace::new();
     let mut digest = DigestProbe::new();
     let mut probe = (&mut *extra, &mut digest);
-    simulate_with_probe_in(
+    simulate_in(
         &mut ws,
         platform,
         tasks,
@@ -166,10 +165,10 @@ proptest! {
             let mut probe = DigestProbe::with_ledger();
             let cfg = SimConfig::default();
             let r = match perturb {
-                None => simulate_with_probe_in(
+                None => simulate_in(
                     &mut ws, &platform, &tasks, &cfg, &Timeline::EMPTY,
                     &mut TapeScheduler::new(tape.clone()), &mut probe),
-                Some(n) => simulate_with_probe_in(
+                Some(n) => simulate_in(
                     &mut ws, &platform, &tasks, &cfg, &Timeline::EMPTY,
                     &mut PerturbNthSend { inner: TapeScheduler::new(tape.clone()), n, seen: 0 },
                     &mut probe),

@@ -3,9 +3,9 @@
 //! folds agree with a straightforward recomputation.
 
 use mss_sim::{
-    bag_of_tasks, simulate, simulate_with_events, simulate_with_events_in, validate, Decision,
-    OnlineScheduler, Platform, PlatformEvent, PlatformEventKind, SchedulerEvent, SimConfig,
-    SimView, SimWorkspace, SlaveId, TaskArrival, Time, Timeline,
+    bag_of_tasks, simulate, simulate_in, validate, Decision, NoopProbe, OnlineScheduler, Platform,
+    PlatformEvent, PlatformEventKind, SchedulerEvent, SimConfig, SimView, SimWorkspace, SlaveId,
+    TaskArrival, Time, Timeline,
 };
 use proptest::prelude::*;
 
@@ -180,14 +180,15 @@ proptest! {
         let cfg = SimConfig { max_steps: 100_000, ..SimConfig::default() };
 
         let mut ws = SimWorkspace::new();
-        let fresh_ws = simulate_with_events_in(
+        let fresh_ws = simulate_in(
             &mut ws, &platform, &tasks, &cfg, &timeline,
-            &mut TapeScheduler::new(tape.clone()));
-        let reused_ws = simulate_with_events_in(
+            &mut TapeScheduler::new(tape.clone()), &mut NoopProbe);
+        let reused_ws = simulate_in(
             &mut ws, &platform, &tasks, &cfg, &timeline,
-            &mut TapeScheduler::new(tape.clone()));
-        let plain = simulate_with_events(
-            &platform, &tasks, &cfg, &timeline, &mut TapeScheduler::new(tape));
+            &mut TapeScheduler::new(tape.clone()), &mut NoopProbe);
+        let plain = simulate_in(
+            &mut SimWorkspace::new(), &platform, &tasks, &cfg, &timeline,
+            &mut TapeScheduler::new(tape), &mut NoopProbe);
 
         prop_assert_eq!(&fresh_ws, &reused_ws);
         prop_assert_eq!(&fresh_ws, &plain);

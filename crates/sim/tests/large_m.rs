@@ -13,7 +13,7 @@
 //! decision must stay a small fraction of `m`.
 
 use mss_sim::{
-    chunked_argmin, simulate_streamed_objectives_in, CompletionWalk, Decision, IncrementalArgmin,
+    chunked_argmin, simulate_objectives_in, CompletionWalk, Decision, IncrementalArgmin, NoopProbe,
     OnlineScheduler, Platform, SchedulerEvent, SimConfig, SimView, SimWorkspace, SlaveId,
     TaskArrival, TaskSource, Timeline,
 };
@@ -157,13 +157,14 @@ fn ten_thousand_slaves_streamed_within_budget() {
     };
 
     mss_obs::kernel_stats_reset();
-    let stats = simulate_streamed_objectives_in(
+    let stats = simulate_objectives_in(
         &mut ws,
         &platform,
         &mut source,
         &cfg,
         &Timeline::EMPTY,
         &mut sched,
+        &mut NoopProbe,
     )
     .expect("10k-slave streamed run completes within the step budget");
     assert_eq!(stats.tasks, n);
@@ -210,13 +211,14 @@ fn ten_thousand_slave_ls_walk_visits_a_small_fraction() {
             decisions: 0,
             evaluations: 0,
         };
-        let stats = simulate_streamed_objectives_in(
+        let stats = simulate_objectives_in(
             &mut ws,
             &platform,
             &mut source,
             &cfg,
             &Timeline::EMPTY,
             &mut sched,
+            &mut NoopProbe,
         )
         .expect("10k-slave LS run completes within the step budget");
         assert_eq!(stats.tasks, n);

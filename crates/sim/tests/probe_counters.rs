@@ -10,9 +10,9 @@
 //! views for the elision oracle that release builds skip.)
 
 use mss_sim::{
-    bag_of_tasks, simulate_with_probe_in, Decision, MarkerKind, OnlineScheduler, Platform,
-    PlatformEvent, PlatformEventKind, RunCounters, SchedulerEvent, SimConfig, SimView,
-    SimWorkspace, SlaveId, SpanKind, Time, Timeline, TraceRecorder,
+    bag_of_tasks, simulate_in, Decision, MarkerKind, OnlineScheduler, Platform, PlatformEvent,
+    PlatformEventKind, RunCounters, SchedulerEvent, SimConfig, SimView, SimWorkspace, SlaveId,
+    SpanKind, Time, Timeline, TraceRecorder,
 };
 
 /// Fault-aware greedy: oldest pending task to the *available* slave with
@@ -69,7 +69,7 @@ fn trace_spans_match_counter_totals() {
 
     let mut ws = SimWorkspace::new();
     let mut probe = (RunCounters::new(), TraceRecorder::new());
-    let trace = simulate_with_probe_in(
+    let trace = simulate_in(
         &mut ws,
         &platform,
         &tasks,

@@ -10,9 +10,9 @@
 //! identical message.
 
 use mss_sim::{
-    simulate_with_events_in, simulate_with_probe_in, Decision, InfoTier, NoopProbe,
-    OnlineScheduler, Platform, PlatformEvent, PlatformEventKind, RunCounters, SchedulerEvent,
-    SimConfig, SimView, SimWorkspace, SlaveId, TaskArrival, Time, Timeline, TraceRecorder,
+    simulate_in, simulate_objectives_in, Decision, InfoTier, NoopProbe, OnlineScheduler, Platform,
+    PlatformEvent, PlatformEventKind, RunCounters, SchedulerEvent, SimConfig, SimView,
+    SimWorkspace, SlaveId, TaskArrival, Time, Timeline, TraceRecorder,
 };
 use proptest::prelude::*;
 
@@ -126,19 +126,30 @@ proptest! {
         let cfg = SimConfig { max_steps: 100_000, info, ..SimConfig::default() };
 
         let mut ws = SimWorkspace::new();
-        let plain = simulate_with_events_in(
-            &mut ws, &platform, &tasks, &cfg, &timeline,
-            &mut TapeScheduler::new(tape.clone()));
-        let noop = simulate_with_probe_in(
+        let plain = simulate_in(
             &mut ws, &platform, &tasks, &cfg, &timeline,
             &mut TapeScheduler::new(tape.clone()), &mut NoopProbe);
         let mut probe = (RunCounters::new(), TraceRecorder::new());
-        let heavy = simulate_with_probe_in(
+        let heavy = simulate_in(
             &mut ws, &platform, &tasks, &cfg, &timeline,
-            &mut TapeScheduler::new(tape), &mut probe);
+            &mut TapeScheduler::new(tape.clone()), &mut probe);
+        // The objectives-only run, probed, must see the same run too.
+        let mut objective_counters = RunCounters::new();
+        let objectives = simulate_objectives_in(
+            &mut ws, &platform, &tasks, &cfg, &timeline,
+            &mut TapeScheduler::new(tape), &mut objective_counters);
 
-        prop_assert_eq!(&plain, &noop);
         prop_assert_eq!(&plain, &heavy);
+        prop_assert_eq!(&probe.0, &objective_counters);
+        match (&plain, &objectives) {
+            (Ok(trace), Ok(run)) => {
+                prop_assert_eq!(run.objectives.makespan.to_bits(), trace.makespan().to_bits());
+                prop_assert_eq!(run.objectives.max_flow.to_bits(), trace.max_flow().to_bits());
+                prop_assert_eq!(run.objectives.sum_flow.to_bits(), trace.sum_flow().to_bits());
+            }
+            (Err(a), Err(b)) => prop_assert_eq!(a, b),
+            (a, b) => prop_assert!(false, "trace run {a:?} vs objectives run {b:?}"),
+        }
 
         // The heavy probe really observed the run it did not perturb.
         let (counters, recorder) = probe;

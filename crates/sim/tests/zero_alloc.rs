@@ -11,9 +11,9 @@
 //! thread can allocate concurrently and pollute the counter.
 
 use mss_sim::{
-    bag_of_tasks, simulate_in, simulate_streamed_objectives_in, simulate_with_probe_in, Decision,
-    IncrementalArgmin, NoopProbe, OnlineScheduler, Platform, SchedulerEvent, SimConfig, SimView,
-    SimWorkspace, SlaveId, TaskArrival, TaskSource, Timeline, Trace,
+    bag_of_tasks, simulate_in, simulate_objectives_in, Decision, IncrementalArgmin, NoopProbe,
+    OnlineScheduler, Platform, SchedulerEvent, SimConfig, SimView, SimWorkspace, SlaveId,
+    TaskArrival, TaskSource, Timeline, Trace,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -140,11 +140,30 @@ fn steady_state_events_allocate_nothing() {
     let mut ws = SimWorkspace::new();
 
     // Warm-up run sizes every workspace buffer.
-    let warm: Trace = simulate_in(&mut ws, &platform, &tasks, &cfg, &mut Greedy).unwrap();
+    let tl = Timeline::EMPTY;
+    let warm: Trace = simulate_in(
+        &mut ws,
+        &platform,
+        &tasks,
+        &cfg,
+        &tl,
+        &mut Greedy,
+        &mut NoopProbe,
+    )
+    .unwrap();
     assert_eq!(warm.len(), n);
 
     let before = ALLOCS.load(Ordering::SeqCst);
-    let trace = simulate_in(&mut ws, &platform, &tasks, &cfg, &mut Greedy).unwrap();
+    let trace = simulate_in(
+        &mut ws,
+        &platform,
+        &tasks,
+        &cfg,
+        &tl,
+        &mut Greedy,
+        &mut NoopProbe,
+    )
+    .unwrap();
     let during = ALLOCS.load(Ordering::SeqCst) - before;
     assert_eq!(trace, warm, "warm rerun must be bit-identical");
 
@@ -161,26 +180,34 @@ fn steady_state_events_allocate_nothing() {
         during as f64 / (3 * n) as f64
     );
 
-    // The disabled-instrumentation path must uphold the same contract: a
-    // probed run with [`NoopProbe`] monomorphizes every hook away, so it
-    // allocates exactly as little as the uninstrumented entry point — and
-    // returns bit-identical results.
+    // The objectives-only run over the same slice upholds the same
+    // contract — it skips even the trace — and folds bit-identical
+    // objectives.
     let before = ALLOCS.load(Ordering::SeqCst);
-    let probed = simulate_with_probe_in(
+    let objectives = simulate_objectives_in(
         &mut ws,
         &platform,
         &tasks,
         &cfg,
-        &Timeline::EMPTY,
+        &tl,
         &mut Greedy,
         &mut NoopProbe,
     )
     .unwrap();
     let during = ALLOCS.load(Ordering::SeqCst) - before;
-    assert_eq!(probed, warm, "NoopProbe run must be bit-identical");
+    assert_eq!(objectives.tasks, n);
+    assert_eq!(
+        objectives.objectives.makespan.to_bits(),
+        warm.makespan().to_bits(),
+        "objectives run must be bit-identical to the trace"
+    );
+    assert_eq!(
+        objectives.objectives.sum_flow.to_bits(),
+        warm.sum_flow().to_bits()
+    );
     assert!(
         during <= 4,
-        "expected the probe-disabled hot path to stay allocation-free, \
+        "expected the objectives-only hot path to stay allocation-free, \
          counted {during} allocations over {} events",
         3 * n
     );
@@ -199,24 +226,26 @@ fn steady_state_events_allocate_nothing() {
     };
     let scfg = SimConfig::with_horizon(big);
     // Warm-up sizes the (bounded) streaming window and recycler.
-    let warm_stats = simulate_streamed_objectives_in(
+    let warm_stats = simulate_objectives_in(
         &mut ws,
         &platform,
         &mut source,
         &scfg,
-        &Timeline::EMPTY,
+        &tl,
         &mut Greedy,
+        &mut NoopProbe,
     )
     .unwrap();
     source.reset();
     let before = ALLOCS.load(Ordering::SeqCst);
-    let stats = simulate_streamed_objectives_in(
+    let stats = simulate_objectives_in(
         &mut ws,
         &platform,
         &mut source,
         &scfg,
-        &Timeline::EMPTY,
+        &tl,
         &mut Greedy,
+        &mut NoopProbe,
     )
     .unwrap();
     let during = ALLOCS.load(Ordering::SeqCst) - before;
@@ -255,11 +284,28 @@ fn steady_state_events_allocate_nothing() {
     let mut kernel_sched = KernelGreedy {
         kernel: IncrementalArgmin::new().with_threshold(0),
     };
-    let kernel_warm: Trace =
-        simulate_in(&mut ws, &platform, &tasks, &cfg, &mut kernel_sched).unwrap();
+    let kernel_warm: Trace = simulate_in(
+        &mut ws,
+        &platform,
+        &tasks,
+        &cfg,
+        &tl,
+        &mut kernel_sched,
+        &mut NoopProbe,
+    )
+    .unwrap();
     assert_eq!(kernel_warm.len(), n);
     let before = ALLOCS.load(Ordering::SeqCst);
-    let kernel_trace = simulate_in(&mut ws, &platform, &tasks, &cfg, &mut kernel_sched).unwrap();
+    let kernel_trace = simulate_in(
+        &mut ws,
+        &platform,
+        &tasks,
+        &cfg,
+        &tl,
+        &mut kernel_sched,
+        &mut NoopProbe,
+    )
+    .unwrap();
     let during = ALLOCS.load(Ordering::SeqCst) - before;
     assert_eq!(
         kernel_trace, kernel_warm,

@@ -8,8 +8,9 @@
 //! consecutive same-instance cells into batches, materializes the
 //! platform, task streams, compiled timeline and the three certified lower
 //! bounds **once** per batch, and fans the algorithms out against the
-//! shared [`MaterializedInstance`](crate::cell::MaterializedInstance). With the paper's seven algorithms this
-//! removes ~6/7 of all instance-construction and bound work.
+//! shared [`MaterializedInstance`] (or, for streamed sweeps, the O(slaves)
+//! [`StreamedInstance`]). With the paper's seven algorithms this removes
+//! ~6/7 of all instance-construction and bound work.
 //!
 //! **Batching is observationally pure** (the contract the executor and its
 //! property tests enforce): per-cell results, cache keys, store contents
@@ -20,10 +21,10 @@
 //! `sample_many` sequence ([`mss_workload::PlatformStream`]), and the
 //! engine re-initializes its [`SimWorkspace`] per run.
 
-use crate::cell::{Cell, CellError, CellMetrics};
+use crate::cell::{Cell, CellError, CellMetrics, MaterializedInstance, StreamedInstance};
 use crate::run_metrics::CellRunMetrics;
 use mss_core::{
-    Algorithm, NoopProbe, OnlineScheduler, Platform, PlatformClass, Redispatch, SimWorkspace,
+    Algorithm, NoopProbe, OnlineScheduler, Platform, PlatformClass, Probe, SimWorkspace,
 };
 use mss_obs::{BatchSpan, MetricsProbe, WorkerMetrics};
 use mss_workload::{PlatformSampler, PlatformStream};
@@ -100,6 +101,11 @@ pub struct BatchWorker {
     /// the run's histograms also merge into `metrics.hists`. Scalar results
     /// are bit-identical either way (contract #12).
     pub collect_metrics: bool,
+    /// When `true`, each batch shares a [`StreamedInstance`] and every cell
+    /// pulls its tasks from a fresh [`Cell::source`] in bounded memory (the
+    /// `ms-lab sweep --streamed` path). Results are bit-identical either
+    /// way, so cache keys and store contents are shared.
+    pub streamed: bool,
     /// Reusable telemetry probe (reset per cell when `collect_metrics`).
     metrics_probe: MetricsProbe,
     /// Shared sweep epoch that batch-span offsets are measured from.
@@ -128,6 +134,7 @@ impl BatchWorker {
             metrics: WorkerMetrics::new(),
             count_events: false,
             collect_metrics: false,
+            streamed: false,
             metrics_probe: MetricsProbe::new(),
             epoch,
         }
@@ -142,13 +149,7 @@ fn scheduler_for<'a>(
     let fault_aware = cell.scenario.as_ref().is_some_and(|s| s.fault_aware);
     schedulers
         .entry((cell.algorithm, fault_aware))
-        .or_insert_with(|| {
-            if fault_aware {
-                Box::new(Redispatch::wrap(cell.algorithm))
-            } else {
-                cell.algorithm.build()
-            }
-        })
+        .or_insert_with(|| cell.build_scheduler())
         .as_mut()
 }
 
@@ -230,10 +231,46 @@ pub fn group_instances(cells: &[Cell], indices: &[usize]) -> Vec<Range<usize>> {
     batches
 }
 
+/// The instance one batch shares across its cells.
+enum BatchInstance {
+    Materialized(MaterializedInstance),
+    Streamed(StreamedInstance),
+}
+
+impl BatchInstance {
+    fn platform(&self) -> &Platform {
+        match self {
+            BatchInstance::Materialized(mat) => &mat.platform,
+            BatchInstance::Streamed(inst) => &inst.platform,
+        }
+    }
+
+    /// Runs `cell` against this instance.
+    fn run<P: Probe>(
+        &self,
+        cell: &Cell,
+        ws: &mut SimWorkspace,
+        scheduler: &mut dyn OnlineScheduler,
+        probe: &mut P,
+    ) -> Result<CellMetrics, CellError> {
+        match self {
+            BatchInstance::Materialized(mat) => cell.try_run_probed(mat, ws, scheduler, probe),
+            BatchInstance::Streamed(inst) => cell
+                .try_run_streamed_probed(inst, ws, scheduler, probe)
+                .map(|(m, _)| m),
+        }
+    }
+}
+
 /// Runs one batch (a `group_instances` range over `indices`): materializes
 /// the shared instance once, then every cell of the batch against it, in
 /// order. Each result is bit-identical to the cell's own
 /// [`Cell::try_run_in`].
+///
+/// With [`BatchWorker::streamed`] the shared instance is the O(slaves)
+/// [`StreamedInstance`], and each cell pulls from a *fresh*
+/// [`Cell::source`] rebuilt from its seeds — the stream is never cloned
+/// across cells. The results are the same bits either way.
 pub fn run_batch(
     cells: &[Cell],
     indices: &[usize],
@@ -248,16 +285,22 @@ pub fn run_batch(
         metrics,
         count_events,
         collect_metrics,
+        streamed,
         metrics_probe,
         epoch,
     } = worker;
     let batch_t0 = Instant::now();
     let head = &cells[indices[batch.start]];
-    let mat = head.materialize_with(samplers);
+    let inst = if *streamed {
+        BatchInstance::Streamed(head.materialize_streamed_with(samplers))
+    } else {
+        let mat = head.materialize_with(samplers);
+        metrics.materialized_tasks += mat.nominal.len() as u64;
+        BatchInstance::Materialized(mat)
+    };
     let sim_t0 = Instant::now();
     metrics.materialize_secs += sim_t0.duration_since(batch_t0).as_secs_f64();
     metrics.materializations += 1;
-    metrics.materialized_tasks += mat.nominal.len() as u64;
     metrics.batches += 1;
     let batch_cells = batch.len() as u64;
     for k in batch {
@@ -265,12 +308,12 @@ pub fn run_batch(
         let scheduler = scheduler_for(schedulers, cell);
         let result = if *collect_metrics {
             metrics_probe.reset();
-            metrics_probe.preallocate(mat.platform.num_slaves());
+            metrics_probe.preallocate(inst.platform().num_slaves());
             let mut result = if *count_events {
                 let mut probe = (&mut metrics.counters, &mut *metrics_probe);
-                cell.try_run_probed(&mat, ws, scheduler, &mut probe)
+                inst.run(cell, ws, scheduler, &mut probe)
             } else {
-                cell.try_run_probed(&mat, ws, scheduler, &mut *metrics_probe)
+                inst.run(cell, ws, scheduler, &mut *metrics_probe)
             };
             if let Ok(m) = &mut result {
                 let run = metrics_probe.finish(m.makespan);
@@ -279,82 +322,9 @@ pub fn run_batch(
             }
             result
         } else if *count_events {
-            cell.try_run_probed(&mat, ws, scheduler, &mut metrics.counters)
+            inst.run(cell, ws, scheduler, &mut metrics.counters)
         } else {
-            cell.try_run_probed(&mat, ws, scheduler, &mut NoopProbe)
-        };
-        if result.is_err() {
-            metrics.aborted += 1;
-        }
-        out.push(result);
-    }
-    let batch_t1 = Instant::now();
-    metrics.cells += batch_cells;
-    metrics.simulate_secs += batch_t1.duration_since(sim_t0).as_secs_f64();
-    metrics.spans.push(BatchSpan {
-        start: batch_t0.duration_since(*epoch).as_secs_f64(),
-        end: batch_t1.duration_since(*epoch).as_secs_f64(),
-        cells: batch_cells as usize,
-    });
-}
-
-/// The streamed counterpart of [`run_batch`]: materializes the O(slaves)
-/// [`StreamedInstance`](crate::cell::StreamedInstance) once per batch,
-/// then runs every cell of the batch against it in bounded memory, each
-/// arm pulling from a *fresh* [`Cell::source`] rebuilt from its seeds —
-/// the stream is never cloned across arms. Every result is bit-identical
-/// to [`run_batch`] (and hence to [`Cell::try_run_in`]), so cache keys
-/// and store contents are shared between the two execution strategies.
-pub fn run_batch_streamed(
-    cells: &[Cell],
-    indices: &[usize],
-    batch: Range<usize>,
-    worker: &mut BatchWorker,
-    out: &mut Vec<Result<CellMetrics, CellError>>,
-) {
-    let BatchWorker {
-        ws,
-        samplers,
-        schedulers,
-        metrics,
-        count_events,
-        collect_metrics,
-        metrics_probe,
-        epoch,
-    } = worker;
-    let batch_t0 = Instant::now();
-    let head = &cells[indices[batch.start]];
-    let inst = head.materialize_streamed_with(samplers);
-    let sim_t0 = Instant::now();
-    metrics.materialize_secs += sim_t0.duration_since(batch_t0).as_secs_f64();
-    metrics.materializations += 1;
-    metrics.batches += 1;
-    let batch_cells = batch.len() as u64;
-    for k in batch {
-        let cell = &cells[indices[k]];
-        let scheduler = scheduler_for(schedulers, cell);
-        let result = if *collect_metrics {
-            metrics_probe.reset();
-            metrics_probe.preallocate(inst.platform.num_slaves());
-            let mut result = if *count_events {
-                let mut probe = (&mut metrics.counters, &mut *metrics_probe);
-                cell.try_run_streamed_probed(&inst, ws, scheduler, &mut probe)
-            } else {
-                cell.try_run_streamed_probed(&inst, ws, scheduler, &mut *metrics_probe)
-            }
-            .map(|(m, _)| m);
-            if let Ok(m) = &mut result {
-                let run = metrics_probe.finish(m.makespan);
-                metrics.hists.merge(&run.hists);
-                m.run_metrics = Some(CellRunMetrics::from_run(&run));
-            }
-            result
-        } else if *count_events {
-            cell.try_run_streamed_probed(&inst, ws, scheduler, &mut metrics.counters)
-                .map(|(m, _)| m)
-        } else {
-            cell.try_run_streamed_probed(&inst, ws, scheduler, &mut NoopProbe)
-                .map(|(m, _)| m)
+            inst.run(cell, ws, scheduler, &mut NoopProbe)
         };
         if result.is_err() {
             metrics.aborted += 1;
@@ -530,9 +500,10 @@ mod tests {
         let (mut mat_out, mut str_out) = (Vec::new(), Vec::new());
         let mut mat_worker = BatchWorker::new();
         let mut str_worker = BatchWorker::new();
+        str_worker.streamed = true;
         for b in batches {
             run_batch(&cells, &all, b.clone(), &mut mat_worker, &mut mat_out);
-            run_batch_streamed(&cells, &all, b, &mut str_worker, &mut str_out);
+            run_batch(&cells, &all, b, &mut str_worker, &mut str_out);
         }
         for ((c, m), s) in cells.iter().zip(&mat_out).zip(&str_out) {
             let (m, s) = (m.as_ref().unwrap(), s.as_ref().unwrap());
@@ -569,13 +540,10 @@ mod tests {
         for streamed in [false, true] {
             let mut worker = BatchWorker::new();
             worker.count_events = true;
+            worker.streamed = streamed;
             let mut out = Vec::new();
             for b in group_instances(&cells, &all) {
-                if streamed {
-                    run_batch_streamed(&cells, &all, b, &mut worker, &mut out);
-                } else {
-                    run_batch(&cells, &all, b, &mut worker, &mut out);
-                }
+                run_batch(&cells, &all, b, &mut worker, &mut out);
             }
             let ok = out.iter().filter(|r| r.is_ok()).count() as u64;
             assert_eq!(

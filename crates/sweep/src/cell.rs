@@ -12,9 +12,9 @@
 use crate::batch::SamplerCache;
 use crate::run_metrics::CellRunMetrics;
 use mss_core::{
-    simulate_objectives_with_probe_in, simulate_streamed_objectives_with_probe_in, Algorithm,
-    InfoTier, NoopProbe, OnlineScheduler, Platform, PlatformClass, Probe, Redispatch, SimConfig,
-    SimError, SimWorkspace, StreamStats, TaskArrival, TaskSource, Timeline,
+    simulate_objectives_in, Algorithm, InfoTier, NoopProbe, OnlineScheduler, Platform,
+    PlatformClass, Probe, Redispatch, SimConfig, SimError, SimWorkspace, StreamStats, TaskArrival,
+    TaskInput, TaskSource, Timeline,
 };
 use mss_opt::bounds::{
     makespan_lower_bound, max_flow_lower_bound, sum_flow_lower_bound, StreamingBounds,
@@ -380,7 +380,7 @@ impl Cell {
     /// so batched executors can carry it to the right result slot.
     pub fn try_run_in(&self, ws: &mut SimWorkspace) -> Result<CellMetrics, CellError> {
         let mat = self.materialize();
-        self.try_run_materialized(&mat, ws)
+        self.try_run_probed(&mat, ws, self.build_scheduler().as_mut(), &mut NoopProbe)
     }
 
     /// Materializes this cell's instance from scratch (no sampler cache).
@@ -485,12 +485,41 @@ impl Cell {
         }
     }
 
-    /// Runs this cell in bounded memory against a shared
-    /// [`StreamedInstance`], pulling tasks from a fresh
-    /// [`Cell::source`]. The [`CellMetrics`] are bit-identical to
-    /// [`Cell::try_run_materialized`]; the accompanying [`StreamStats`]
-    /// carry the task-slot high-water marks the bounded-memory contract
-    /// caps.
+    /// Runs this cell against a shared materialization. `mat` must come
+    /// from [`Cell::materialize`]/[`Cell::materialize_with`] of a cell for
+    /// which [`Cell::same_instance`] holds (the caller's grouping
+    /// invariant); results are then bit-identical to [`Cell::try_run_in`].
+    ///
+    /// `scheduler` must be the one this cell would build
+    /// ([`Cell::build_scheduler`]); the engine fully re-initializes it per
+    /// run, so reuse across cells is bit-transparent. `probe` observes the
+    /// engine run and cannot change its results; with [`NoopProbe`] the
+    /// run is the uninstrumented one.
+    pub fn try_run_probed<P: Probe>(
+        &self,
+        mat: &MaterializedInstance,
+        ws: &mut SimWorkspace,
+        scheduler: &mut dyn OnlineScheduler,
+        probe: &mut P,
+    ) -> Result<CellMetrics, CellError> {
+        let tasks = mat.perturbed.as_deref().unwrap_or(&mat.nominal);
+        self.try_run_on(
+            &mat.platform,
+            &mat.timeline,
+            mat.lb_makespan,
+            tasks,
+            ws,
+            scheduler,
+            probe,
+        )
+        .map(|(metrics, _)| metrics)
+    }
+
+    /// [`Cell::try_run_probed`] in bounded memory against a shared
+    /// [`StreamedInstance`], pulling tasks from a fresh [`Cell::source`].
+    /// The [`CellMetrics`] are bit-identical to the materialized run; the
+    /// accompanying [`StreamStats`] carry the task-slot high-water marks
+    /// the bounded-memory contract caps.
     pub fn try_run_streamed_probed<P: Probe>(
         &self,
         inst: &StreamedInstance,
@@ -498,46 +527,49 @@ impl Cell {
         scheduler: &mut dyn OnlineScheduler,
         probe: &mut P,
     ) -> Result<(CellMetrics, StreamStats), CellError> {
-        let cfg = self.sim_config_for(&inst.timeline);
         let mut source = self.source(&inst.platform);
-        let run = simulate_streamed_objectives_with_probe_in(
-            ws,
+        self.try_run_on(
             &inst.platform,
-            &mut source,
-            &cfg,
             &inst.timeline,
+            inst.lb_makespan,
+            &mut source,
+            ws,
             scheduler,
             probe,
         )
-        .map_err(|e| self.abort_error(&e))?;
+    }
 
-        let lb = inst.lb_makespan;
+    /// The engine run behind both `try_run_*`: `tasks` on the instance's
+    /// platform and timeline, with the makespan measured against its
+    /// certified lower bound `lb`.
+    #[allow(clippy::too_many_arguments)]
+    fn try_run_on<'t, P: Probe>(
+        &self,
+        platform: &Platform,
+        timeline: &Timeline,
+        lb: f64,
+        tasks: impl Into<TaskInput<'t>>,
+        ws: &mut SimWorkspace,
+        scheduler: &mut dyn OnlineScheduler,
+        probe: &mut P,
+    ) -> Result<(CellMetrics, StreamStats), CellError> {
+        let cfg = self.sim_config_for(timeline);
+        let run = simulate_objectives_in(ws, platform, tasks, &cfg, timeline, scheduler, probe)
+            .map_err(|e| self.abort_error(&e))?;
+        let objectives = run.objectives;
         let metrics = CellMetrics {
-            makespan: run.objectives.makespan,
-            max_flow: run.objectives.max_flow,
-            sum_flow: run.objectives.sum_flow,
+            makespan: objectives.makespan,
+            max_flow: objectives.max_flow,
+            sum_flow: objectives.sum_flow,
             lb_makespan: lb,
             ratio_makespan: if lb > 0.0 {
-                run.objectives.makespan / lb
+                objectives.makespan / lb
             } else {
                 f64::NAN
             },
             run_metrics: None,
         };
         Ok((metrics, run))
-    }
-
-    /// Runs this cell against a shared materialization. `mat` must come
-    /// from [`Cell::materialize`]/[`Cell::materialize_with`] of a cell for
-    /// which [`Cell::same_instance`] holds (the caller's grouping
-    /// invariant); results are then bit-identical to [`Cell::try_run_in`].
-    pub fn try_run_materialized(
-        &self,
-        mat: &MaterializedInstance,
-        ws: &mut SimWorkspace,
-    ) -> Result<CellMetrics, CellError> {
-        let mut scheduler = self.build_scheduler();
-        self.try_run_scheduled(mat, ws, &mut scheduler)
     }
 
     /// Builds the scheduler instance this cell runs:
@@ -549,15 +581,11 @@ impl Cell {
         }
     }
 
-    /// The exact engine configuration this cell simulates under (also used
-    /// by `ms-lab trace` to replay a single cell with probes attached).
-    pub fn sim_config(&self, mat: &MaterializedInstance) -> SimConfig {
-        self.sim_config_for(&mat.timeline)
-    }
-
-    /// [`Cell::sim_config`] from the compiled timeline alone — the
-    /// streamed path has no [`MaterializedInstance`]; both paths produce
-    /// the identical configuration.
+    /// The exact engine configuration this cell simulates under, given its
+    /// compiled timeline (the `timeline` of its [`MaterializedInstance`] or
+    /// [`StreamedInstance`]; both paths produce the identical
+    /// configuration). Also used to replay a single cell with probes
+    /// attached.
     pub fn sim_config_for(&self, timeline: &Timeline) -> SimConfig {
         SimConfig {
             horizon_hint: Some(self.tasks),
@@ -582,58 +610,6 @@ impl Cell {
             kind: AbortKind::from(e),
             message: format!("{} failed on {:?}: {e}", self.algorithm, self.platform),
         }
-    }
-
-    /// [`Cell::try_run_materialized`] with a caller-provided scheduler
-    /// instance (which the engine fully re-initializes per run, so reuse
-    /// across cells is bit-transparent). The scheduler must be the one this
-    /// cell would build: `Redispatch`-wrapped iff the cell is fault-aware.
-    pub fn try_run_scheduled(
-        &self,
-        mat: &MaterializedInstance,
-        ws: &mut SimWorkspace,
-        scheduler: &mut dyn OnlineScheduler,
-    ) -> Result<CellMetrics, CellError> {
-        self.try_run_probed(mat, ws, scheduler, &mut NoopProbe)
-    }
-
-    /// [`Cell::try_run_scheduled`] with an instrumentation [`Probe`]
-    /// observing the engine run. Results are bit-identical for any probe
-    /// (probes are observers only); with [`NoopProbe`] this *is*
-    /// `try_run_scheduled`.
-    pub fn try_run_probed<P: Probe>(
-        &self,
-        mat: &MaterializedInstance,
-        ws: &mut SimWorkspace,
-        scheduler: &mut dyn OnlineScheduler,
-        probe: &mut P,
-    ) -> Result<CellMetrics, CellError> {
-        let cfg = self.sim_config(mat);
-        let tasks = mat.perturbed.as_deref().unwrap_or(&mat.nominal);
-        let run = simulate_objectives_with_probe_in(
-            ws,
-            &mat.platform,
-            tasks,
-            &cfg,
-            &mat.timeline,
-            scheduler,
-            probe,
-        )
-        .map_err(|e| self.abort_error(&e))?;
-
-        let lb = mat.lb_makespan;
-        Ok(CellMetrics {
-            makespan: run.makespan,
-            max_flow: run.max_flow,
-            sum_flow: run.sum_flow,
-            lb_makespan: lb,
-            ratio_makespan: if lb > 0.0 {
-                run.makespan / lb
-            } else {
-                f64::NAN
-            },
-            run_metrics: None,
-        })
     }
 
     /// `true` iff `other` describes the same *instance* — every field but
@@ -834,9 +810,13 @@ mod tests {
         assert!(clair.same_instance(&oblivious) && clair.same_instance(&blind));
         let mat = clair.materialize();
         let mut ws = SimWorkspace::new();
-        let base = clair.try_run_materialized(&mat, &mut ws).unwrap();
-        let oblv = oblivious.try_run_materialized(&mat, &mut ws).unwrap();
-        let nonc = blind.try_run_materialized(&mat, &mut ws).unwrap();
+        let mut run = |c: &Cell| {
+            c.try_run_probed(&mat, &mut ws, c.build_scheduler().as_mut(), &mut NoopProbe)
+                .unwrap()
+        };
+        let base = run(&clair);
+        let oblv = run(&oblivious);
+        let nonc = run(&blind);
 
         // Withdrawing knowledge cannot beat the certified lower bound, the
         // runs complete, and the bounds (instance properties) agree.

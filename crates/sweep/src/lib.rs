@@ -104,8 +104,8 @@ pub use agg::{
     aggregate, aggregate_metrics, summarize, AggregateRow, HistSummary, MetricsRow, Summary,
 };
 pub use batch::{
-    batch_cost, estimated_cell_events, group_instances, run_batch, run_batch_streamed,
-    split_batches, BatchWorker, SamplerCache, DEFAULT_SPLIT_EVENTS,
+    batch_cost, estimated_cell_events, group_instances, run_batch, split_batches, BatchWorker,
+    SamplerCache, DEFAULT_SPLIT_EVENTS,
 };
 pub use cell::{
     AbortKind, Cell, CellError, CellMetrics, MaterializedInstance, PerturbCell, PlatformCell,
@@ -143,7 +143,7 @@ pub struct SweepConfig {
     /// re-run. Scalar results stay bit-identical either way.
     pub collect_metrics: bool,
     /// Execute batches through the bounded-memory streaming path
-    /// ([`run_batch_streamed`]): tasks are pulled lazily from seeded
+    /// ([`BatchWorker::streamed`]): tasks are pulled lazily from seeded
     /// [`mss_workload::GeneratedSource`]s instead of materializing the
     /// instance's task vectors, and each batch arm re-instantiates its
     /// source from the cell's seeds (the stream is never cloned).
@@ -295,15 +295,12 @@ pub fn try_run_cells(cells: &[Cell], config: &SweepConfig) -> CheckedOutcome {
             let mut w = BatchWorker::with_epoch(epoch);
             w.count_events = config.count_events;
             w.collect_metrics = config.collect_metrics;
+            w.streamed = config.streamed;
             (w, store.as_ref().map(|s| s.writer()))
         },
         |(w, writer), _, b| {
             let mut out = Vec::with_capacity(b.len());
-            if config.streamed {
-                batch::run_batch_streamed(cells, &missing, b.clone(), w, &mut out);
-            } else {
-                batch::run_batch(cells, &missing, b.clone(), w, &mut out);
-            }
+            batch::run_batch(cells, &missing, b.clone(), w, &mut out);
             if let (Some(writer), Some(keys)) = (writer.as_mut(), keys.as_ref()) {
                 let t0 = std::time::Instant::now();
                 for (k, r) in b.clone().zip(&out) {

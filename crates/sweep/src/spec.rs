@@ -192,9 +192,17 @@ impl SweepSpec {
 
     fn platform_recipes(&self) -> Result<Vec<PlatformCell>, SpecError> {
         let mut recipes = Vec::new();
-        for axis in &self.platforms {
+        for (i, axis) in self.platforms.iter().enumerate() {
             let slaves = axis.slaves.unwrap_or(5);
-            match axis.kind.to_ascii_lowercase().as_str() {
+            let kind = axis.kind.to_ascii_lowercase();
+            // Fail at spec time, not on `Platform::new`'s asserts mid-sweep
+            // in a worker thread.
+            if slaves == 0 && matches!(kind.as_str(), "class" | "heterogeneity") {
+                return Err(SpecError(format!(
+                    "platform {i}: kind `{kind}` needs at least one slave, got `slaves = 0`"
+                )));
+            }
+            match kind.as_str() {
                 "class" => {
                     let class = parse_class(axis.class.as_deref().ok_or_else(|| {
                         SpecError("platform kind `class` requires `class = ...`".into())
@@ -245,6 +253,16 @@ impl SweepSpec {
                         return Err(SpecError(
                             "explicit platform needs non-empty c and p of equal length".into(),
                         ));
+                    }
+                    for (j, (&cj, &pj)) in c.iter().zip(&p).enumerate() {
+                        for (name, v) in [("c", cj), ("p", pj)] {
+                            if !(v.is_finite() && v > 0.0) {
+                                return Err(SpecError(format!(
+                                    "platform {i}: explicit slave {j} has {name} = {v}; \
+                                     c and p must be positive and finite"
+                                )));
+                            }
+                        }
                     }
                     recipes.push(PlatformCell::Explicit { c, p });
                 }
@@ -722,5 +740,67 @@ mod tests {
         let cells = s.expand().unwrap();
         // (3 levels × 2 families + 1 explicit) × 2 algorithms
         assert_eq!(cells.len(), 7 * 2);
+    }
+
+    fn explicit_axis(c: Vec<f64>, p: Vec<f64>) -> PlatformAxis {
+        PlatformAxis {
+            kind: "explicit".into(),
+            class: None,
+            count: None,
+            slaves: None,
+            axis: None,
+            levels: None,
+            families: None,
+            c: Some(c),
+            p: Some(p),
+        }
+    }
+
+    #[test]
+    fn malformed_explicit_platforms_fail_at_expand_not_at_cell_run() {
+        // Each value would trip `Platform::new`'s asserts inside a sweep
+        // worker; the spec error names the platform entry, the slave and
+        // the value.
+        for (c, p, needle) in [
+            (vec![0.1, 0.0], vec![1.0, 2.0], "slave 1 has c = 0"),
+            (vec![0.1, 0.2], vec![-1.0, 2.0], "slave 0 has p = -1"),
+            (vec![f64::NAN], vec![1.0], "slave 0 has c = NaN"),
+            (
+                vec![0.1, 0.2],
+                vec![1.0, f64::INFINITY],
+                "slave 1 has p = inf",
+            ),
+        ] {
+            let mut s = spec();
+            s.platforms.push(explicit_axis(c, p));
+            let err = s.expand().unwrap_err();
+            assert!(err.0.contains("platform 1:"), "{err}");
+            assert!(err.0.contains(needle), "{err}");
+        }
+    }
+
+    #[test]
+    fn zero_slave_platforms_fail_at_expand_not_at_cell_run() {
+        let mut s = spec();
+        s.platforms[0].slaves = Some(0);
+        let err = s.expand().unwrap_err();
+        assert!(err.0.contains("platform 0: kind `class`"), "{err}");
+        assert!(err.0.contains("slaves = 0"), "{err}");
+
+        let mut s = spec();
+        s.platforms = vec![PlatformAxis {
+            kind: "heterogeneity".into(),
+            class: None,
+            count: None,
+            slaves: Some(0),
+            axis: Some("both".into()),
+            levels: Some(vec![0.5]),
+            families: None,
+            c: None,
+            p: None,
+        }];
+        let err = s.expand().unwrap_err();
+        assert!(err.0.contains("platform 0: kind `heterogeneity`"), "{err}");
+        assert!(err.0.contains("slaves = 0"), "{err}");
     }
 }

@@ -18,7 +18,7 @@
 //! * **bounds** — the single-pass `StreamingBounds` certificate equals
 //!   the batch bounds on the materialized release vector.
 
-use mss_core::{simulate_streamed_with_probe_in, simulate_with_probe_in, SimWorkspace};
+use mss_core::{simulate_in, SimWorkspace};
 use mss_obs::DigestProbe;
 use mss_scenario::{EventSpec, GeneratorSpec};
 use mss_sweep::{try_run_cells, Cell, ScenarioAxis, SweepConfig, SweepSpec};
@@ -272,11 +272,11 @@ fn check_traces_and_digests(cells: &[Cell]) {
         assert_eq!(mat.lb_max_flow.to_bits(), inst.lb_max_flow.to_bits());
         assert_eq!(mat.lb_sum_flow.to_bits(), inst.lb_sum_flow.to_bits());
 
-        let cfg = cell.sim_config(&mat);
+        let cfg = cell.sim_config_for(&mat.timeline);
         let tasks = mat.perturbed.as_deref().unwrap_or(&mat.nominal);
         let mut digest_mat = DigestProbe::new();
         let mut sched = cell.build_scheduler();
-        let trace_mat = simulate_with_probe_in(
+        let trace_mat = simulate_in(
             &mut ws,
             &mat.platform,
             tasks,
@@ -289,7 +289,7 @@ fn check_traces_and_digests(cells: &[Cell]) {
         let mut digest_str = DigestProbe::new();
         let mut sched = cell.build_scheduler();
         let mut source = cell.source(&inst.platform);
-        let trace_str = simulate_streamed_with_probe_in(
+        let trace_str = simulate_in(
             &mut ws,
             &inst.platform,
             &mut source,
@@ -322,6 +322,10 @@ fn check_spec(spec: &SweepSpec) {
     for threads in [1, 2, mss_sweep::default_threads(64)] {
         let streamed = try_run_cells(&cells, &config(threads, true));
         assert_eq!(streamed.executed, cells.len());
+        // `SweepConfig::streamed` really reached the batch runner: no
+        // batch materialized a task vector.
+        assert_eq!(streamed.stats.materialized_tasks, 0);
+        assert!(oracle.stats.materialized_tasks > 0);
         for (i, (s, m)) in streamed.results.iter().zip(&oracle.results).enumerate() {
             // `==` on the f64 metrics is exact, and `CellMetrics` includes
             // the full `CellRunMetrics` telemetry payload.

@@ -1,9 +1,9 @@
 //! Pull-based task sources: materialized, generated, and trace-replay.
 //!
-//! The streamed engine entry points (`mss_sim::simulate_streamed` and
-//! friends) pull arrivals one at a time from a [`TaskSource`] instead of
-//! receiving the whole instance as a slice, so a million-task instance
-//! never has to exist in memory at once. This module provides the three
+//! Given a [`TaskSource`] instead of a slice, the engine's run functions
+//! (`mss_sim::simulate_in`, `mss_sim::simulate_objectives_in`) pull
+//! arrivals one at a time, so a million-task instance never has to exist
+//! in memory at once. This module provides the three
 //! implementations the lab uses:
 //!
 //! * [`MaterializedSource`] — wraps an existing `Vec<TaskArrival>`; the

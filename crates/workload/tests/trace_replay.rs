@@ -6,7 +6,7 @@
 //! streamed simulation, and reject schema violations with located errors
 //! matching the repo's strict-key convention.
 
-use mss_core::{simulate_streamed, Algorithm, Platform, SimConfig};
+use mss_core::{simulate_in, Algorithm, NoopProbe, Platform, SimConfig, SimWorkspace, Timeline};
 use mss_workload::{TaskSource, TraceFormat, TraceSource};
 use std::path::{Path, PathBuf};
 
@@ -59,11 +59,14 @@ fn golden_fixture_drives_a_streamed_simulation() {
     let mut source = TraceSource::open(fixture("replay_trace.jsonl")).unwrap();
     let n = source.len();
     let mut scheduler = Algorithm::ListScheduling.build();
-    let trace = simulate_streamed(
+    let trace = simulate_in(
+        &mut SimWorkspace::new(),
         &platform,
         &mut source,
         &SimConfig::with_horizon(n),
+        &Timeline::EMPTY,
         scheduler.as_mut(),
+        &mut NoopProbe,
     )
     .unwrap();
     assert_eq!(trace.len(), GOLDEN.len());
@@ -71,11 +74,14 @@ fn golden_fixture_drives_a_streamed_simulation() {
     // bit-identical.
     source.reset();
     let mut scheduler = Algorithm::ListScheduling.build();
-    let again = simulate_streamed(
+    let again = simulate_in(
+        &mut SimWorkspace::new(),
         &platform,
         &mut source,
         &SimConfig::with_horizon(n),
+        &Timeline::EMPTY,
         scheduler.as_mut(),
+        &mut NoopProbe,
     )
     .unwrap();
     assert_eq!(again, trace);

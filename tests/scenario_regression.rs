@@ -3,7 +3,7 @@
 //! must honor the same determinism contract the static engine guarantees.
 
 use master_slave_sched::core::{
-    simulate, simulate_with_events, Algorithm, Redispatch, SimConfig, Timeline,
+    simulate, simulate_in, Algorithm, NoopProbe, Redispatch, SimConfig, SimWorkspace, Timeline,
 };
 use master_slave_sched::scenario::{GeneratorSpec, ScenarioSpec};
 use master_slave_sched::workload::{ArrivalProcess, PlatformSampler};
@@ -29,15 +29,31 @@ fn static_scenario_traces_are_byte_identical() {
         let cfg = SimConfig::with_horizon(tasks.len());
         let compiled = empty.compile(platform.num_slaves()).unwrap();
         assert_eq!(compiled, Timeline::EMPTY);
+        let mut ws = SimWorkspace::new();
         for a in Algorithm::ALL {
             let reference = simulate(platform, &tasks, &cfg, &mut a.build()).unwrap();
-            let via_events =
-                simulate_with_events(platform, &tasks, &cfg, &compiled, &mut a.build()).unwrap();
+            let via_events = simulate_in(
+                &mut ws,
+                platform,
+                &tasks,
+                &cfg,
+                &compiled,
+                &mut a.build(),
+                &mut NoopProbe,
+            )
+            .unwrap();
             assert_eq!(reference, via_events, "{a} on {class}");
             // The fault-aware wrapper is the identity on static platforms.
-            let wrapped =
-                simulate_with_events(platform, &tasks, &cfg, &compiled, &mut Redispatch::wrap(a))
-                    .unwrap();
+            let wrapped = simulate_in(
+                &mut ws,
+                platform,
+                &tasks,
+                &cfg,
+                &compiled,
+                &mut Redispatch::wrap(a),
+                &mut NoopProbe,
+            )
+            .unwrap();
             assert_eq!(reference, wrapped, "{a}+RD on {class}");
         }
     }
